@@ -30,7 +30,8 @@ print()
 grid = jh.GridParams(h=0.01, l_max=4.0, dt=0.01)
 field, solve_report = jh.solve(problem, grid, tol=1e-9)
 print(
-    f"solved in {solve_report.iterations} sweeps, "
+    f"solved in {solve_report.iterations} policy evaluations "
+    f"(per grid, coarsest first: {solve_report.level_iterations}), "
     f"max residual {solve_report.max_residual:.2e}"
 )
 print(f"edge limits at the vertex: u_1(O)={field.values[0][0]:.6f}, "

@@ -2,9 +2,9 @@
 
 The package solves the Hamilton-Jacobi system of a single junction (N
 half-line edges glued at one vertex) where switching edges at the vertex
-incurs a fixed, discounted cost.  The per-edge value limits are computed
-by a semi-Lagrangian fixed-point iteration; the value at the vertex itself
-is reconstructed from them.  An independent brute-force MDP, trajectory
+incurs a fixed, discounted cost.  The per-edge value limits are the fixed
+point of a semi-Lagrangian scheme, computed by policy iteration; the value
+at the vertex itself is reconstructed from them.  An independent brute-force MDP, trajectory
 cost integration, reachability construction, and greedy simulation provide
 cross-checks.
 """
@@ -49,6 +49,7 @@ from .presets import builtin_names, builtin_problem, builtin_spec
 from .solver import (
     DiscreteSystem,
     GridParams,
+    Policy,
     SolveReport,
     ValueField,
     build_system,
@@ -57,6 +58,7 @@ from .solver import (
     field_from_json,
     field_to_csv,
     field_to_json,
+    policy,
     residual,
     solve,
     solve_mixed,

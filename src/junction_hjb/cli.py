@@ -54,6 +54,7 @@ def _print_report(report: solver.SolveReport):
     print(f"final_change = {report.final_change:.9g}")
     print(f"max_residual = {report.max_residual:.9g}")
     print(f"converged = {'true' if report.converged else 'false'}")
+    print("levels = " + ", ".join(str(n) for n in report.level_iterations))
     if report.mixed_vertex_check is not None:
         print(
             "mixed_vertex_check = "
@@ -162,6 +163,9 @@ def _load_field(path: str) -> solver.ValueField:
 
 def cmd_simulate(args) -> int:
     problem = load_problem(args.spec)
+    bad = _check_validated(problem)
+    if bad is not None:
+        return bad
     field = _load_field(args.field)
     edge_text, _, s_text = args.x0.partition(",")
     x0 = NetworkPoint(int(edge_text), float(s_text))
@@ -215,6 +219,8 @@ def _field_table(path: str) -> dict[tuple[str, str], float]:
     if not lines or lines[0].strip() != "edge,s,value":
         raise ValueError(f"{path}: expected header 'edge,s,value'")
     for line in lines[1:]:
+        if line.startswith("#"):
+            continue
         edge_text, s_text, value_text = line.split(",")
         value = float(value_text)
         table[(edge_text, format(float(s_text), ".9g"))] = value

@@ -500,7 +500,20 @@ def simulate(
     stationary hull point.  The greedy policy is a heuristic: it is not
     guaranteed optimal at the vertex, and is validated externally through
     cost dominance against the solved field.
+
+    Raises ValueError when the field does not have one edge per edge of
+    the problem, each with a value at every node of its grid.
     """
+    if len(field.values) != problem.n_edges:
+        raise ValueError(
+            f"field has {len(field.values)} edges, the problem has {problem.n_edges}"
+        )
+    for label, u in enumerate(field.values, start=1):
+        if u.shape != (field.grid.n_intervals + 1,):
+            raise ValueError(
+                f"field edge {label} has {u.size} nodes, its grid has "
+                f"{field.grid.n_intervals + 1}"
+            )
     if h_snap is None:
         h_snap = field.grid.h / 2
     lam = problem.lam

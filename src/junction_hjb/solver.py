@@ -1,4 +1,5 @@
-"""Semi-Lagrangian value iteration for the junction Hamilton-Jacobi systems.
+"""Semi-Lagrangian scheme for the junction Hamilton-Jacobi systems, solved
+by Howard's policy iteration on a coarse-to-fine ladder of grids.
 
 Each edge is truncated to [0, l_max] and discretized with mesh h.  The
 unknown per edge i is the continuous extension u_i of the value function's
@@ -6,7 +7,7 @@ restriction to that edge, with u_i[0] holding the one-sided limit at the
 vertex; the value AT the vertex itself is reconstructed after convergence
 (entry costs make it smaller than the edge limits in general).
 
-One sweep applies the synchronous (Jacobi) update
+The scheme is the fixed point of the synchronous update (sweep)
 
     interior s:  u_i(s) <- min over controls a of
                  dt*ell_i(s,a) + exp(-lam*dt) * Interp(u_i, s + dt*f_i(s,a))
@@ -28,13 +29,26 @@ there:
 
 where stall = -H_tangential/lam.  Every branch is either constant or
 passes through exp(-lam*dt) times a convex combination of old values, so a
-sweep contracts the sup norm by exactly exp(-lam*dt) and is monotone; the
-fixed point is unique and solve() iterates until the field is within tol
-of it.  Zero switching costs need no special casing: with c_j = 0 the
-switch branch makes the vertex limits of all zero-cost edges agree, which
-is the continuous shared component of the mixed regime, and with all
-costs zero the update collapses to the classical junction condition
-min(stall, min_j B3_j).
+sweep contracts the sup norm by beta = exp(-lam*dt) and is monotone; the
+fixed point is unique.  Zero switching costs need no special casing: with
+c_j = 0 the switch branch makes the vertex limits of all zero-cost edges
+agree, which is the continuous shared component of the mixed regime, and
+with all costs zero the update collapses to the classical junction
+condition min(stall, min_j B3_j).
+
+The update is a min over a finite set of actions (a control per node, a
+branch per vertex limit) of affine beta-contractions, so solve() reaches
+its fixed point by Howard's policy iteration in finitely many steps:
+evaluate the current policy exactly by solving the linear system
+u = c + beta * P u (banded per edge, coupled through the N vertex limits),
+then switch every node to its greedy action (policy()).  To keep the
+number of policy evaluations small as h shrinks, it runs on a ladder of
+grids, each coarser one doubling h and dt (when n_intervals is even and
+the coarser grid is admissible); each finer grid starts from the greedy
+policy of one sweep of the coarser result interpolated onto it.  It stops
+once one sweep moves the field by at most tol*(1-beta), which puts the
+field within tol of the fixed point.  SolveReport.iterations counts policy
+evaluations over all grids.
 """
 
 from __future__ import annotations
@@ -58,6 +72,8 @@ __all__ = [
     "build_system",
     "constant_field",
     "sweep",
+    "Policy",
+    "policy",
     "solve",
     "solve_mixed",
     "residual",
@@ -124,6 +140,9 @@ class SolveReport:
     # For mixed solves only: did the converged vertex values satisfy the
     # shared-component inequality for the positive-cost edges?
     mixed_vertex_check: bool | None = None
+    # Policy evaluations on each grid of the coarse-to-fine ladder, coarsest
+    # first; they sum to iterations.
+    level_iterations: tuple[int, ...] = ()
 
 
 def _worker_count(n_edges: int, n_nodes: int) -> int:
@@ -195,6 +214,28 @@ class DiscreteSystem:
                 f"dt too large: dt * bound = {max_speed:g} exceeds l_max/4"
             )
         self.value_bound = sup / problem.lam + float(sum(problem.regime.costs))
+
+        # Vertex branches of edge e as (target edge, pair index), in the
+        # order ties resolve toward: switch to each other edge j, park at
+        # the vertex (target -1), continue into edge e.  vertex_const[e]
+        # holds each branch's switch cost, the parking value, or 0.
+        costs = problem.regime.costs
+        entry = problem.regime.kind == "entry"
+        self.vertex_branches: list[list[tuple[int, int]]] = []
+        self.vertex_const: list[np.ndarray] = []
+        for e in range(problem.n_edges):
+            branches, const = [], []
+            for j in range(problem.n_edges):
+                if j != e:
+                    n_pairs = self.vertex_stage[j].size
+                    branches += [(j, q) for q in range(n_pairs)]
+                    const += [costs[j] if entry else costs[e]] * n_pairs
+            park = self.stall_value if entry else costs[e] + self.stall_value
+            n_pairs = self.vertex_stage[e].size
+            branches += [(-1, 0)] + [(e, q) for q in range(n_pairs)]
+            const += [park] + [0.0] * n_pairs
+            self.vertex_branches.append(branches)
+            self.vertex_const.append(np.asarray(const))
         self.workers = _worker_count(problem.n_edges, self.n_nodes)
         self._pool = None
 
@@ -223,6 +264,8 @@ class DiscreteSystem:
                 raise ValueError("field node count does not match the system")
 
     def default_max_iters(self, tol: float) -> int:
+        """Sweeps value iteration would need from the a-priori bound; a
+        generous cap on policy evaluations, which need far fewer."""
         lam_dt = self.problem.lam * self.grid.dt
         return 2 * math.ceil(math.log(max(self.value_bound, tol * 2) / tol) / lam_dt)
 
@@ -241,71 +284,183 @@ def constant_field(system: DiscreteSystem, value: float) -> ValueField:
     )
 
 
-def _interior_update(system: DiscreteSystem, e: int, u: np.ndarray) -> np.ndarray:
+def _interior_candidates(
+    system: DiscreteSystem, e: int, u: np.ndarray
+) -> np.ndarray:
     lo = system.foot_lo[e]
     w = system.foot_w[e]
     interp = u[lo] * (1.0 - w) + u[lo + 1] * w
-    candidates = system.stage[e] + system.beta * interp
-    return candidates.min(axis=1)
+    return system.stage[e] + system.beta * interp
 
 
-def _edge_step_value(system: DiscreteSystem, e: int, u: np.ndarray) -> float | None:
-    """One-step value of moving into edge e from the vertex (None if impossible)."""
-    lo = system.vertex_lo[e]
-    if lo.size == 0:
-        return None
-    w = system.vertex_w[e]
-    interp = u[lo] * (1.0 - w) + u[lo + 1] * w
-    return float((system.vertex_stage[e] + system.beta * interp).min())
+def _candidates(field: ValueField, system: DiscreteSystem):
+    """Right-hand side of the update for every action: per edge, an
+    (n_nodes, n_controls) array for the interior and one value per entry of
+    system.vertex_branches[e] for the vertex limit."""
+    system.check_field(field)
+    n_edges = system.problem.n_edges
+    u = field.values
+
+    if system.workers > 1:
+        interiors = list(
+            system.pool().map(
+                lambda e: _interior_candidates(system, e, u[e]), range(n_edges)
+            )
+        )
+    else:
+        interiors = [_interior_candidates(system, e, u[e]) for e in range(n_edges)]
+
+    # One-step values of moving from the vertex into each edge, per pair.
+    steps = []
+    for j in range(n_edges):
+        lo = system.vertex_lo[j]
+        w = system.vertex_w[j]
+        interp = u[j][lo] * (1.0 - w) + u[j][lo + 1] * w
+        steps.append(system.vertex_stage[j] + system.beta * interp)
+
+    park = np.zeros(1)
+    vertex = []
+    for e in range(n_edges):
+        pieces = [steps[j] for j in range(n_edges) if j != e] + [park, steps[e]]
+        vertex.append(system.vertex_const[e] + np.concatenate(pieces))
+    return interiors, vertex
 
 
 def sweep(field: ValueField, system: DiscreteSystem) -> tuple[ValueField, float]:
     """One synchronous update of all nodes; returns the new field and the
     sup-norm change."""
-    system.check_field(field)
-    n_edges = system.problem.n_edges
-
-    if system.workers > 1:
-        interiors = list(
-            system.pool().map(
-                lambda e: _interior_update(system, e, field.values[e]),
-                range(n_edges),
-            )
-        )
-    else:
-        interiors = [
-            _interior_update(system, e, field.values[e]) for e in range(n_edges)
-        ]
-
-    step_values = [
-        _edge_step_value(system, e, field.values[e]) for e in range(n_edges)
-    ]
-
-    costs = system.problem.regime.costs
-    entry = system.problem.regime.kind == "entry"
+    interiors, vertex = _candidates(field, system)
     new_values = []
     change = 0.0
-    for e in range(n_edges):
-        new_u = np.empty(system.n_nodes)
-        new_u[1:] = interiors[e][1:]
-
-        # Branch order: switch to another edge, park at the vertex, continue
-        # into the own edge.  Ties resolve toward the earliest branch.
-        branches = []
-        for j in range(n_edges):
-            if j == e or step_values[j] is None:
-                continue
-            switch_cost = costs[j] if entry else costs[e]
-            branches.append(switch_cost + step_values[j])
-        branches.append(system.stall_value if entry else costs[e] + system.stall_value)
-        if step_values[e] is not None:
-            branches.append(step_values[e])
-        new_u[0] = min(branches)
-
-        change = max(change, float(np.abs(new_u - field.values[e]).max()))
+    for u, interior, branches in zip(field.values, interiors, vertex):
+        new_u = interior.min(axis=1)
+        new_u[0] = branches.min()
+        change = max(change, float(np.abs(new_u - u).max()))
         new_values.append(new_u)
-
     return ValueField(tuple(new_values), system.grid, None), change
+
+
+@dataclass(frozen=True, eq=False)
+class Policy:
+    """One action per node: controls[e][k] indexes edge e's controls at node
+    k (unused at k = 0), vertex[e] indexes system.vertex_branches[e]."""
+
+    controls: tuple[np.ndarray, ...]
+    vertex: tuple[int, ...]
+
+    def same_as(self, other: "Policy") -> bool:
+        return self.vertex == other.vertex and all(
+            np.array_equal(a, b) for a, b in zip(self.controls, other.controls)
+        )
+
+
+def _argmin(candidates: np.ndarray, current: np.ndarray | None) -> np.ndarray:
+    """Argmin over the last axis, ties toward the lowest index; where
+    current is given, its action is kept unless another is strictly
+    better."""
+    best = candidates.argmin(axis=-1)
+    if current is None:
+        return best
+    kept = np.take_along_axis(candidates, current[..., None], axis=-1)[..., 0]
+    low = np.take_along_axis(candidates, best[..., None], axis=-1)[..., 0]
+    return np.where(kept <= low, current, best)
+
+
+def policy(
+    field: ValueField, system: DiscreteSystem, current: Policy | None = None
+) -> Policy:
+    """Greedy policy of a field: the argmin of the candidates whose min is
+    sweep().  With current given, its actions are kept where no other
+    action is strictly better."""
+    interiors, vertex = _candidates(field, system)
+    controls = tuple(
+        _argmin(c, None if current is None else current.controls[e])
+        for e, c in enumerate(interiors)
+    )
+    branches = tuple(
+        int(_argmin(c, None if current is None else np.asarray(current.vertex[e])))
+        for e, c in enumerate(vertex)
+    )
+    return Policy(controls, branches)
+
+
+def _banded_solve(band: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
+    """Solve a batch of banded systems by Gaussian elimination without
+    pivoting, overwriting band and rhs.
+
+    band[b, r, p + d] is the coefficient of unknown r + d in row r of system
+    b, rhs[b, r] holds the right-hand sides of row r.  Pivoting is not
+    needed because every row is strictly diagonally dominant, which the
+    elimination preserves.
+    """
+    n, width = band.shape[1], band.shape[2]
+    q = width - 1 - p
+    for r in range(n - 1):
+        pivot_row = band[:, r, p:]
+        pivot_rhs = rhs[:, r]
+        for i in range(1, min(p, n - 1 - r) + 1):
+            factor = band[:, r + i, p - i] / band[:, r, p]
+            band[:, r + i, p - i : width - i] -= factor[:, None] * pivot_row
+            rhs[:, r + i] -= factor[:, None] * pivot_rhs
+    x = np.zeros((band.shape[0], n + q, rhs.shape[2]))
+    for r in range(n - 1, -1, -1):
+        upper = (band[:, r, p + 1 :, None] * x[:, r + 1 : r + 1 + q]).sum(axis=1)
+        x[:, r] = (rhs[:, r] - upper) / band[:, r, p, None]
+    return x[:, :n]
+
+
+def _evaluate(pol: Policy, system: DiscreteSystem) -> ValueField:
+    """Exact value of a fixed policy: the solution of u = c + beta * P u.
+
+    On each edge the rows of nodes 1..n form a banded system in which the
+    vertex limit u[0] appears only on the right-hand side, so its solution
+    is u[1:] = y + z * u[0] for two right-hand sides y and z.  The chosen
+    vertex branches then give an N x N system for the vertex limits.
+    """
+    n = system.n_nodes - 1
+    n_edges = system.problem.n_edges
+    beta = system.beta
+    k = np.arange(1, n + 1)
+    lo = np.stack([system.foot_lo[e][k, pol.controls[e][1:]] for e in range(n_edges)])
+    w = np.stack([system.foot_w[e][k, pol.controls[e][1:]] for e in range(n_edges)])
+    stage = np.stack([system.stage[e][k, pol.controls[e][1:]] for e in range(n_edges)])
+
+    # Row k reads node lo with weight beta*(1-w) and node lo+1 with beta*w;
+    # node m > 0 is unknown m-1 of the edge's system.
+    interior = lo >= 1
+    p = int(max(0, (k - lo - 1).max(), (k - lo)[interior].max(initial=0)))
+    q = int(max(0, (lo + 1 - k).max()))
+    band = np.zeros((n_edges, n, p + q + 1))
+    band[:, :, p] = 1.0
+    rows = np.broadcast_to(np.arange(n), lo.shape)
+    edges = np.broadcast_to(np.arange(n_edges)[:, None], lo.shape)
+    band[edges, rows, lo + 1 - k + p] -= beta * w
+    band[edges, rows, np.where(interior, lo - k + p, p)] -= np.where(
+        interior, beta * (1.0 - w), 0.0
+    )
+    rhs = np.stack([stage, np.where(interior, 0.0, beta * (1.0 - w))], axis=-1)
+    solution = _banded_solve(band, rhs, p)
+    # u_j[m] = y[j, m] + z[j, m] * u_j[0] at every node m, the vertex included.
+    y = np.concatenate((np.zeros((n_edges, 1)), solution[..., 0]), axis=1)
+    z = np.concatenate((np.ones((n_edges, 1)), solution[..., 1]), axis=1)
+
+    matrix = np.eye(n_edges)
+    const = np.zeros(n_edges)
+    for e in range(n_edges):
+        index = pol.vertex[e]
+        target, pair = system.vertex_branches[e][index]
+        const[e] = system.vertex_const[e][index]
+        if target < 0:
+            continue
+        const[e] += system.vertex_stage[target][pair]
+        vlo = int(system.vertex_lo[target][pair])
+        vw = float(system.vertex_w[target][pair])
+        for m, weight in ((vlo, beta * (1.0 - vw)), (vlo + 1, beta * vw)):
+            const[e] += weight * y[target, m]
+            matrix[e, target] -= weight * z[target, m]
+    limits = np.linalg.solve(matrix, const)
+    values = tuple(y[e] + z[e] * limits[e] for e in range(n_edges))
+    return ValueField(values, system.grid, None)
 
 
 def _reconstruct_vertex(field: ValueField, system: DiscreteSystem) -> float:
@@ -327,6 +482,20 @@ def residual(field: ValueField, system: DiscreteSystem):
     return per_edge, max(float(r.max()) for r in per_edge)
 
 
+def _ladder(system: DiscreteSystem) -> list[DiscreteSystem]:
+    """Systems on successively coarser grids, h and dt doubled at each step
+    (which keeps dt/h fixed), coarsest first and ending with system."""
+    levels = [system]
+    while levels[0].grid.n_intervals % 2 == 0:
+        grid = levels[0].grid
+        try:
+            coarse = GridParams(h=2 * grid.h, l_max=grid.l_max, dt=2 * grid.dt)
+            levels.insert(0, build_system(system.problem, coarse))
+        except ValueError:
+            break
+    return levels
+
+
 def _iterate(
     system: DiscreteSystem,
     tol: float,
@@ -337,28 +506,49 @@ def _iterate(
         raise ValueError("tol must be positive")
     if max_iters is None:
         max_iters = system.default_max_iters(tol)
+    levels = _ladder(system)
+    coarsest = levels[0]
     if init is None:
-        field = constant_field(system, system.sup_bound / system.problem.lam)
+        field = constant_field(coarsest, system.sup_bound / system.problem.lam)
     else:
         system.check_field(init)
-        field = init.copy()
+        stride = system.grid.n_intervals // coarsest.grid.n_intervals
+        field = ValueField(
+            tuple(u[::stride].copy() for u in init.values), coarsest.grid
+        )
 
-    # Stop when the change guarantees the field is within tol of the fixed
-    # point: |u_k - u*| <= beta/(1-beta) * change, so require
-    # change <= tol * (1-beta)/beta.  Capped at tol so that converged
-    # always implies final_change <= tol, even for coarse time steps.
-    beta = system.beta
-    threshold = tol * min(1.0, (1.0 - beta) / beta)
-
-    iterations = 0
-    change = math.inf
-    converged = False
-    while iterations < max_iters:
-        field, change = sweep(field, system)
-        iterations += 1
-        if change <= threshold:
-            converged = True
-            break
+    # Howard's policy iteration on each level.  A finer level starts from
+    # the greedy policy of one sweep of the coarser field interpolated onto
+    # its nodes: with dt > h the interpolated field alone seeds policies
+    # whose flaws take one evaluation per node to undo (entry-basic at
+    # dt = 2h: 91 evaluations instead of 6).  A level ends when one sweep
+    # moves its field by at most tol*(1-beta), which puts the field within
+    # tol of the level's fixed point, or when the policy stops changing.
+    budget = max_iters
+    counts = []
+    for level in levels:
+        if level is not coarsest:
+            nodes = level.grid.nodes
+            field = ValueField(
+                tuple(np.interp(nodes, field.grid.nodes, u) for u in field.values),
+                level.grid,
+            )
+            if budget > 0:
+                field, _ = sweep(field, level)
+        count = 0
+        current = policy(field, level) if budget > 0 else None
+        while count < budget:
+            field = _evaluate(current, level)
+            count += 1
+            _, change = sweep(field, level)
+            if change <= tol * (1.0 - level.beta):
+                break
+            improved = policy(field, level, current)
+            if improved.same_as(current):
+                break
+            current = improved
+        budget -= count
+        counts.append(count)
 
     field.vertex_reconstruction = _reconstruct_vertex(field, system)
     _, max_res = residual(field, system)
@@ -369,10 +559,11 @@ def _iterate(
             raise RuntimeError("converged field violates the a-priori value bound")
 
     report = SolveReport(
-        iterations=iterations,
-        final_change=float(change),
+        iterations=sum(counts),
+        final_change=max_res,
         max_residual=max_res,
-        converged=converged,
+        converged=max_res <= tol * (1.0 - system.beta),
+        level_iterations=tuple(counts),
     )
     return field, report
 
@@ -384,7 +575,12 @@ def solve(
     max_iters: int | None = None,
     init: ValueField | None = None,
 ) -> tuple[ValueField, SolveReport]:
-    """Iterate sweeps to the fixed point and reconstruct the vertex value.
+    """Solve for the fixed point of sweep() and reconstruct the vertex value.
+
+    max_iters caps the policy evaluations summed over the grid ladder; when
+    it runs out on a coarse grid, that grid's field is interpolated onto
+    the requested one and the report says not converged.  init only seeds
+    the first policy.
 
     Problems with strictly positive switching costs are solved directly;
     problems with one or more zero costs are delegated to solve_mixed.
@@ -444,8 +640,8 @@ def _fmt_json(x: float) -> str:
 
 
 def field_to_csv(field: ValueField) -> str:
-    """Rows edge,s,value (edge then s ascending), then a trailing row with
-    edge 0 carrying the vertex reconstruction."""
+    """Rows edge,s,value (edge then s ascending), a row with edge 0 carrying
+    the vertex reconstruction, then a comment line with the exact grid."""
     lines = ["edge,s,value"]
     s = field.grid.nodes
     for e, u in enumerate(field.values, start=1):
@@ -453,16 +649,38 @@ def field_to_csv(field: ValueField) -> str:
             lines.append(f"{e},{_fmt_csv(s[k])},{_fmt_csv(u[k])}")
     recon = field.vertex_reconstruction
     lines.append(f"0,0,{_fmt_csv(recon)}" if recon is not None else "0,0,nan")
+    g = field.grid
+    lines.append(
+        f"# grid h={_fmt_json(g.h)} l_max={_fmt_json(g.l_max)} dt={_fmt_json(g.dt)}"
+    )
     return "\n".join(lines) + "\n"
 
 
+def _parse_grid_line(line: str) -> GridParams:
+    """Read the '# grid h=... l_max=... dt=...' line of field_to_csv."""
+    words = line[1:].split()
+    if not words or words[0] != "grid":
+        raise ValueError(f"bad comment line {line!r}")
+    try:
+        values = {k: float(v) for k, v in (w.split("=", 1) for w in words[1:])}
+        return GridParams(h=values["h"], l_max=values["l_max"], dt=values["dt"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"bad grid line {line!r}: {exc}") from None
+
+
 def field_from_csv(text: str) -> ValueField:
+    """Inverse of field_to_csv.  Files without the grid line (written before
+    it existed) are read with dt = h."""
     rows: dict[int, list[tuple[float, float]]] = {}
     recon = None
+    stated = None
     lines = text.strip().splitlines()
     if not lines or lines[0].strip() != "edge,s,value":
         raise ValueError("expected header 'edge,s,value'")
     for line in lines[1:]:
+        if line.startswith("#"):
+            stated = _parse_grid_line(line)
+            continue
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"bad field row {line!r}")
@@ -490,9 +708,14 @@ def field_from_csv(text: str) -> ValueField:
         values.append(np.asarray([p[1] for p in pairs]))
     if len(grids) != 1:
         raise ValueError("edges carry inconsistent grids")
-    h, l_max, _ = next(iter(grids))
-    grid = GridParams(h=h, l_max=l_max, dt=h)
-    return ValueField(tuple(values), grid, recon)
+    h, l_max, n_nodes = next(iter(grids))
+    if stated is None:
+        return ValueField(tuple(values), GridParams(h=h, l_max=l_max, dt=h), recon)
+    if n_nodes != stated.n_intervals + 1 or not math.isclose(
+        h, stated.h, rel_tol=1e-6
+    ):
+        raise ValueError("the rows do not match the file's grid line")
+    return ValueField(tuple(values), stated, recon)
 
 
 def field_to_json(field: ValueField, report: SolveReport | None = None) -> str:
@@ -522,7 +745,8 @@ def field_to_json(field: ValueField, report: SolveReport | None = None) -> str:
             f'"final_change": {_fmt_json(report.final_change)}, '
             f'"max_residual": {_fmt_json(report.max_residual)}, '
             f'"converged": {"true" if report.converged else "false"}, '
-            f'"mixed_vertex_check": {check_text}}}'
+            f'"mixed_vertex_check": {check_text}, '
+            f'"level_iterations": {list(report.level_iterations)}}}'
         )
     return "{" + ", ".join(parts) + "}\n"
 

@@ -166,6 +166,52 @@ def test_simulate_command(tmp_path, capsys):
     assert (tmp_path / "traj.csv.switches.csv").exists()
 
 
+def test_simulate_mismatched_field_exit_1(tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    field = tmp_path / "field.csv"
+    assert main(["solve", spec, "--out", str(field)]) == 0
+    three = tmp_path / "three.spec"
+    three.write_text(
+        "lambda = 1\nregime = entry\ncosts = 1, 1, 1\n"
+        + "[edge]\ncontrols = -1, 0, 1\nf = a\nell = 1\n" * 3,
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main(["simulate", str(three), "--field", str(field), "--x0", "3,0.5"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_invalid_problem_exit_2(tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    field = tmp_path / "field.csv"
+    assert main(["solve", spec, "--out", str(field)]) == 0
+    bad = tmp_path / "bad.spec"
+    bad.write_text(
+        "lambda = 1\nregime = entry\ncosts = 1, 1\n"
+        "[edge]\ncontrols = 1\nf = a\nell = 1\n"
+        "[edge]\ncontrols = -1, 0, 1\nf = a\nell = 1\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main(["simulate", str(bad), "--field", str(field), "--x0", "1,0.5"]) == 2
+    assert "violation:" in capsys.readouterr().err
+
+
+def test_solve_reports_level_iterations(tmp_path, capsys):
+    import json
+
+    spec = _write_spec(tmp_path)
+    out = tmp_path / "field.json"
+    assert main(["solve", spec, "--out", str(out), "--format", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    levels = [int(n) for n in next(l for l in lines if l.startswith("levels = "))[9:].split(",")]
+    iterations = int(next(l for l in lines if l.startswith("iterations = ")).split("=")[1])
+    assert len(levels) > 1 and sum(levels) == iterations
+    report = json.loads(out.read_text(encoding="utf-8"))["report"]
+    assert report["level_iterations"] == levels
+    assert report["iterations"] == iterations
+
+
 def test_residual_command(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     field = tmp_path / "field.csv"

@@ -246,6 +246,19 @@ def test_simulate_does_not_hold_at_vertex_on_inward_controls(fine_grid):
     assert traj.cost == pytest.approx(1.0, abs=0.05)
 
 
+def test_simulate_rejects_mismatched_field(benchmark_problem, benchmark_solution):
+    field, _ = benchmark_solution
+    three_edges = parse_problem(
+        "lambda = 1\nregime = entry\ncosts = 1, 1, 1\n"
+        + "[edge]\ncontrols = -1, 0, 1\nf = a\nell = 1\n" * 3
+    )
+    with pytest.raises(ValueError, match="edges"):
+        simulate(three_edges, NetworkPoint(3, 0.5), field, horizon=1.0, dt=0.01)
+    short = jh.ValueField(tuple(u[:-1] for u in field.values), field.grid)
+    with pytest.raises(ValueError, match="nodes"):
+        simulate(benchmark_problem, NetworkPoint(1, 0.5), short, horizon=1.0, dt=0.01)
+
+
 def test_evaluate_cost_charges_each_reentry(benchmark_problem):
     # Out, back to the vertex, out again: two entry charges on edge 2.
     sched = ControlSchedule(

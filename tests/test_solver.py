@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import junction_hjb as jh
+from conftest import make_random_problem
 from junction_hjb.model import CostRegime, Problem, parse_problem
 from junction_hjb.solver import (
     GridParams,
@@ -292,6 +298,30 @@ def test_csv_round_trip(benchmark_solution, fine_grid):
     )
 
 
+@pytest.mark.parametrize("dt", [0.005, 0.02])
+def test_csv_keeps_dt(benchmark_problem, dt):
+    grid = GridParams(h=0.01, l_max=4.0, dt=dt)
+    field, _ = solve(benchmark_problem, grid)
+    back = field_from_csv(field_to_csv(field))
+    assert back.grid == grid
+    _, res = residual(back, build_system(benchmark_problem, grid))
+    # Each value keeps 9 significant digits, so it moves by at most half a
+    # unit in the 9th digit and the residual by at most twice that.
+    top = max(float(np.abs(u).max()) for u in field.values)
+    assert res <= 1e-8 * 10 ** math.floor(math.log10(top))
+
+
+def test_csv_without_grid_line_reads_dt_as_h(benchmark_solution, fine_grid):
+    field, _ = benchmark_solution
+    text = field_to_csv(field)
+    assert text.splitlines()[-1].startswith("# grid ")
+    old_format = "".join(text.splitlines(keepends=True)[:-1])
+    back = field_from_csv(old_format)
+    assert back.grid.dt == back.grid.h == pytest.approx(fine_grid.h)
+    with pytest.raises(ValueError, match="grid"):
+        field_from_csv(old_format + "# grid h=0.02 l_max=4 dt=0.02\n")
+
+
 def test_json_round_trip_exact(benchmark_solution):
     field, report = benchmark_solution
     text = field_to_json(field, report)
@@ -306,6 +336,63 @@ def test_nonconvergence_reported_not_raised(benchmark_problem, fine_grid):
     field, report = solve(benchmark_problem, fine_grid, max_iters=5)
     assert not report.converged
     assert report.iterations == 5
+
+
+def test_budget_spent_on_coarse_level_returns_requested_grid(benchmark_problem, fine_grid):
+    field, report = solve(benchmark_problem, fine_grid, max_iters=1)
+    assert not report.converged
+    assert report.iterations == 1
+    assert report.level_iterations[0] == 1 and sum(report.level_iterations) == 1
+    assert len(report.level_iterations) > 1
+    assert field.grid == fine_grid
+    assert all(u.shape == (fine_grid.n_intervals + 1,) for u in field.values)
+    assert report.final_change > 1e-9
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["entry", "exit"]),
+    zero_cost=st.booleans(),
+    odd=st.booleans(),
+)
+def test_solve_matches_value_iteration(seed, kind, zero_cost, odd):
+    base = make_random_problem(np.random.default_rng(seed))
+    costs = base.regime.costs
+    if zero_cost:
+        costs = (0.0,) + costs[1:]
+    problem = Problem(base.junction, base.edges, base.lam, CostRegime(kind, costs))
+    # n_intervals = 40 builds a ladder of 2 or 3 grids (the third only when
+    # dt * sup <= l_max / 4 holds at h = 0.2); 25 is odd, so one grid.
+    h = 0.08 if odd else 0.05
+    grid = GridParams(h=h, l_max=2.0, dt=h)
+    tol = 1e-9
+    field, report = solve(problem, grid, tol=tol)
+    assert report.converged
+    assert len(report.level_iterations) == 1 if odd else len(report.level_iterations) > 1
+    assert sum(report.level_iterations) == report.iterations
+
+    system = build_system(problem, grid)
+    reference = constant_field(system, 0.0)
+    change = math.inf
+    while change > 1e-13:
+        reference, change = sweep(reference, system)
+    vi_error = change * system.beta / (1 - system.beta)
+    assert field.sup_distance(reference) <= tol + vi_error
+
+
+def test_solve_does_not_import_scipy():
+    code = (
+        "import sys, junction_hjb as jh\n"
+        "jh.solve(jh.builtin_problem('entry-basic'), jh.GridParams(0.05, 2.0, 0.05))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_converged_implies_change_below_tol_on_coarse_steps():

@@ -174,6 +174,7 @@ def cmd_simulate(args) -> int:
     print(f"realized_cost = {traj.cost:.9g}")
     print(f"tail_bound = {traj.tail_bound:.9g}")
     print(f"switches = {len(traj.switches)}")
+    print(f"left_domain = {'true' if traj.left_domain else 'false'}")
     if args.out:
         Path(args.out).write_text(
             oracle_mod.trajectory_to_csv(traj), encoding="utf-8"

@@ -88,6 +88,9 @@ class Trajectory:
     cost: float
     tail_bound: float
     schedule: ControlSchedule | None = None
+    # Some position lies beyond the field's l_max, where the field is only
+    # a constant extension and the greedy policy is not trustworthy.
+    left_domain: bool = False
 
     @property
     def samples(self) -> list[tuple[float, NetworkPoint]]:
@@ -501,8 +504,11 @@ def simulate(
     guaranteed optimal at the vertex, and is validated externally through
     cost dominance against the solved field.
 
-    Raises ValueError when the field does not have one edge per edge of
-    the problem, each with a value at every node of its grid.
+    Beyond the field's l_max the field is extended by a constant, so the
+    rollout is not stopped there; Trajectory.left_domain records that it
+    went past l_max.  Raises ValueError when the field does not have one
+    edge per edge of the problem, each with a value at every node of its
+    grid.
     """
     if len(field.values) != problem.n_edges:
         raise ValueError(
@@ -674,6 +680,7 @@ def simulate(
         cost=acc.cost,
         tail_bound=tail,
         schedule=ControlSchedule(tuple(segments)),
+        left_domain=s_max > field.grid.l_max,
     )
 
 

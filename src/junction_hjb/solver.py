@@ -40,15 +40,19 @@ The update is a min over a finite set of actions (a control per node, a
 branch per vertex limit) of affine beta-contractions, so solve() reaches
 its fixed point by Howard's policy iteration in finitely many steps:
 evaluate the current policy exactly by solving the linear system
-u = c + beta * P u (banded per edge, coupled through the N vertex limits),
-then switch every node to its greedy action (policy()).  To keep the
-number of policy evaluations small as h shrinks, it runs on a ladder of
-grids, each coarser one doubling h and dt (when n_intervals is even and
-the coarser grid is admissible); each finer grid starts from the greedy
-policy of one sweep of the coarser result interpolated onto it.  It stops
-once one sweep moves the field by at most tol*(1-beta), which puts the
-field within tol of the fixed point.  SolveReport.iterations counts policy
-evaluations over all grids.
+u = c + beta * P u, then switch every node to its greedy action
+(policy()).  On each edge the policy's rows form a strictly diagonally
+dominant banded system (a foot lies within dt*sup/h + 1 nodes), solved
+for all edges at once by block cyclic reduction in ceil(log2(n/b))
+vectorized levels for block size b, with the vertex limit kept as a
+second right-hand side; an N x N solve then couples the vertex limits.
+To keep the number of policy evaluations small as h shrinks, it runs on
+a ladder of grids, each coarser one doubling h and dt (when n_intervals
+is even and the coarser grid is admissible); each finer grid starts from
+the greedy policy of one sweep of the coarser result interpolated onto
+it.  It stops once one sweep moves the field by at most tol*(1-beta),
+which puts the field within tol of the fixed point.  SolveReport.iterations
+counts policy evaluations over all grids.
 """
 
 from __future__ import annotations
@@ -166,10 +170,21 @@ class DiscreteSystem:
     """Precomputed semi-Lagrangian data for one problem on one grid."""
 
     def __init__(self, problem: Problem, grid: GridParams):
+        self._build(problem, grid, vertex_data(problem))
+
+    def _coarser(self) -> "DiscreteSystem":
+        """The system on the grid with h and dt doubled.  It shares this
+        system's vertex data, which does not depend on the grid."""
+        grid = GridParams(h=2 * self.grid.h, l_max=self.grid.l_max, dt=2 * self.grid.dt)
+        coarse = DiscreteSystem.__new__(DiscreteSystem)
+        coarse._build(self.problem, grid, self.vertex)
+        return coarse
+
+    def _build(self, problem: Problem, grid: GridParams, vertex: VertexData):
         self.problem = problem
         self.grid = grid
         self.beta = math.exp(-problem.lam * grid.dt)
-        self.vertex: VertexData = vertex_data(problem)
+        self.vertex = vertex
         self.stall_value = -self.vertex.tangential / problem.lam
 
         n = grid.n_intervals
@@ -385,28 +400,84 @@ def policy(
 
 
 def _banded_solve(band: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
-    """Solve a batch of banded systems by Gaussian elimination without
-    pivoting, overwriting band and rhs.
+    """Solve a batch of strictly row diagonally dominant banded systems by
+    block cyclic reduction.
 
-    band[b, r, p + d] is the coefficient of unknown r + d in row r of system
-    b, rhs[b, r] holds the right-hand sides of row r.  Pivoting is not
-    needed because every row is strictly diagonally dominant, which the
-    elimination preserves.
+    band[s, r, p + d] is the coefficient of unknown r + d in row r of
+    system s (p bands below the diagonal, q = width - 1 - p above; entries
+    that point outside 0..n-1 must be zero), and rhs[s, r] holds the
+    right-hand sides of row r.  With block size b = max(p, q, 1) each
+    system is block tridiagonal; n is padded to a multiple of b with
+    identity rows, then _cyclic_reduction solves all systems at once.
+
+    No pivoting is needed across blocks: odd-even reduction is Gaussian
+    elimination of a symmetrically permuted matrix, which keeps the
+    diagonal on the diagonal, and every Schur complement of a strictly
+    row diagonally dominant matrix is again strictly row diagonally
+    dominant, so every diagonal block a level inverts is nonsingular and
+    no row exchanges between blocks are needed.
     """
-    n, width = band.shape[1], band.shape[2]
+    n_sys, n, width = band.shape
     q = width - 1 - p
-    for r in range(n - 1):
-        pivot_row = band[:, r, p:]
-        pivot_rhs = rhs[:, r]
-        for i in range(1, min(p, n - 1 - r) + 1):
-            factor = band[:, r + i, p - i] / band[:, r, p]
-            band[:, r + i, p - i : width - i] -= factor[:, None] * pivot_row
-            rhs[:, r + i] -= factor[:, None] * pivot_rhs
-    x = np.zeros((band.shape[0], n + q, rhs.shape[2]))
-    for r in range(n - 1, -1, -1):
-        upper = (band[:, r, p + 1 :, None] * x[:, r + 1 : r + 1 + q]).sum(axis=1)
-        x[:, r] = (rhs[:, r] - upper) / band[:, r, p, None]
-    return x[:, :n]
+    b = max(p, q, 1)
+    m = -(-n // b)
+    rows = np.arange(m * b)
+    cols = (rows % b)[:, None] + np.arange(-p, q + 1) + b
+    # wide[s, r, c]: coefficient of unknown r - r % b - b + c in row r, so
+    # columns [0, b), [b, 2b) and [2b, 3b) hold the lower, diagonal and
+    # upper blocks of row block r // b.
+    wide = np.zeros((n_sys, m * b, 3 * b))
+    wide[:, rows[:n, None], cols[:n]] = band
+    wide[:, rows[n:], rows[n:] % b + b] = 1.0
+    wide = wide.reshape(n_sys, m, b, 3 * b)
+    padded = np.zeros((n_sys, m * b, rhs.shape[2]))
+    padded[:, :n] = rhs
+    x = _cyclic_reduction(
+        wide[..., :b],
+        wide[..., b : 2 * b],
+        wide[..., 2 * b :],
+        padded.reshape(n_sys, m, b, -1),
+    )
+    return x.reshape(n_sys, m * b, -1)[:, :n]
+
+
+def _cyclic_reduction(lower, diag, upper, rhs):
+    """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i] over
+    the block axis (axis 1) for every system at once; lower[:, 0] and
+    upper[:, -1] are ignored.  Each level eliminates the odd blocks with
+    one batched solve and recurses on the even ones, so a system of m
+    blocks takes ceil(log2 m) levels."""
+    m, b = diag.shape[1], diag.shape[2]
+    if m == 1:
+        return np.linalg.solve(diag, rhs)
+    # odd[k] = diag^-1 [lower | upper | rhs] of block 2k+1, so that
+    # x[2k+1] = odd[k][:, 2b:] - odd[k][:, :b] x[2k] - odd[k][:, b:2b] x[2k+2].
+    odd = np.linalg.solve(
+        diag[:, 1::2], np.concatenate((lower[:, 1::2], upper[:, 1::2], rhs[:, 1::2]), -1)
+    )
+    # Even block 2k reads odd blocks 2k-1 and 2k+1: pad so both exist.
+    zero = np.zeros_like(odd[:, :1])
+    odd = np.concatenate([zero, odd] + [zero] * (m % 2), axis=1)
+    left = lower[:, ::2] @ odd[:, :-1]
+    right = upper[:, ::2] @ odd[:, 1:]
+    x_even = _cyclic_reduction(
+        -left[..., :b],
+        diag[:, ::2] - left[..., b : 2 * b] - right[..., :b],
+        -right[..., b : 2 * b],
+        rhs[:, ::2] - left[..., 2 * b :] - right[..., 2 * b :],
+    )
+    x = np.empty_like(rhs)
+    x[:, ::2] = x_even
+    # Odd block 2k+1 reads even blocks 2k and 2k+2: pad so both exist.
+    zero = np.zeros_like(x_even[:, :1])
+    x_even = np.concatenate([x_even] + [zero] * (1 - m % 2), axis=1)
+    odd = odd[:, 1 : 1 + m // 2]
+    x[:, 1::2] = (
+        odd[..., 2 * b :]
+        - odd[..., :b] @ x_even[:, :-1]
+        - odd[..., b : 2 * b] @ x_even[:, 1:]
+    )
+    return x
 
 
 def _evaluate(pol: Policy, system: DiscreteSystem) -> ValueField:
@@ -487,10 +558,8 @@ def _ladder(system: DiscreteSystem) -> list[DiscreteSystem]:
     (which keeps dt/h fixed), coarsest first and ending with system."""
     levels = [system]
     while levels[0].grid.n_intervals % 2 == 0:
-        grid = levels[0].grid
         try:
-            coarse = GridParams(h=2 * grid.h, l_max=grid.l_max, dt=2 * grid.dt)
-            levels.insert(0, build_system(system.problem, coarse))
+            levels.insert(0, levels[0]._coarser())
         except ValueError:
             break
     return levels

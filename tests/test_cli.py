@@ -166,6 +166,19 @@ def test_simulate_command(tmp_path, capsys):
     assert (tmp_path / "traj.csv.switches.csv").exists()
 
 
+def test_simulate_prints_left_domain(tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    field = tmp_path / "field.csv"
+    assert main(["solve", spec, "--out", str(field)]) == 0
+    capsys.readouterr()
+    # entry-basic from (1, 1.0) reaches s = 19 on edge 2 by t = 20, past l_max = 4.
+    assert main(["simulate", spec, "--field", str(field), "--x0", "1,1.0"]) == 0
+    assert "left_domain = true" in capsys.readouterr().out.splitlines()
+    args = ["simulate", spec, "--field", str(field), "--x0", "1,1.0", "--horizon", "2"]
+    assert main(args) == 0
+    assert "left_domain = false" in capsys.readouterr().out.splitlines()
+
+
 def test_simulate_mismatched_field_exit_1(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     field = tmp_path / "field.csv"

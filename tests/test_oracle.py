@@ -259,6 +259,24 @@ def test_simulate_rejects_mismatched_field(benchmark_problem, benchmark_solution
         simulate(benchmark_problem, NetworkPoint(1, 0.5), short, horizon=1.0, dt=0.01)
 
 
+def test_simulate_flags_leaving_the_domain(benchmark_problem, fine_grid, benchmark_solution):
+    field, _ = benchmark_solution
+    # Down edge 1 to the vertex, then up edge 2 at unit speed: s = 19 at t = 20.
+    far = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=20.0, dt=0.01)
+    assert far.positions.max() > fine_grid.l_max and far.left_domain
+    near = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=2.0, dt=0.01)
+    assert near.positions.max() <= fine_grid.l_max and not near.left_domain
+
+    # The acceptance seed's random problem 0: from the vertex on edge 3 the
+    # greedy policy runs off to s ~ 1e13, from the vertex on edge 1 it stays.
+    from conftest import make_random_problem
+
+    problem = make_random_problem(np.random.default_rng(20260810))
+    field, _ = jh.solve(problem, fine_grid)
+    assert simulate(problem, NetworkPoint(3, 0.0), field, horizon=25.0, dt=0.01).left_domain
+    assert not simulate(problem, NetworkPoint(1, 0.0), field, horizon=25.0, dt=0.01).left_domain
+
+
 def test_evaluate_cost_charges_each_reentry(benchmark_problem):
     # Out, back to the vertex, out again: two entry charges on edge 2.
     sched = ControlSchedule(

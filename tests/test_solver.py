@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import junction_hjb as jh
@@ -14,12 +14,16 @@ from junction_hjb.model import CostRegime, Problem, parse_problem
 from junction_hjb.solver import (
     GridParams,
     ValueField,
+    _banded_solve,
+    _candidates,
+    _evaluate,
     build_system,
     constant_field,
     field_from_csv,
     field_from_json,
     field_to_csv,
     field_to_json,
+    policy,
     residual,
     solve,
     solve_mixed,
@@ -379,6 +383,71 @@ def test_solve_matches_value_iteration(seed, kind, zero_cost, odd):
         reference, change = sweep(reference, system)
     vi_error = change * system.beta / (1 - system.beta)
     assert field.sup_distance(reference) <= tol + vi_error
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    p=st.integers(0, 3),
+    q=st.integers(0, 3),
+    n=st.integers(1, 70),
+    batch=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=3, q=1, n=2, batch=2, seed=1)  # n < block size
+@example(p=2, q=2, n=7, batch=1, seed=2)  # n not a multiple of the block size
+@example(p=1, q=2, n=6, batch=3, seed=3)  # odd block count
+@example(p=0, q=0, n=1, batch=1, seed=4)
+def test_banded_solve_matches_dense(p, q, n, batch, seed):
+    rng = np.random.default_rng(seed)
+    band = rng.uniform(-1.0, 1.0, (batch, n, p + q + 1))
+    cols = np.arange(n)[:, None] + np.arange(-p, q + 1)
+    band[:, (cols < 0) | (cols >= n)] = 0.0
+    off = np.abs(band).sum(axis=-1) - np.abs(band[..., p])
+    sign = np.where(rng.random((batch, n)) < 0.5, -1.0, 1.0)
+    band[..., p] = sign * (off + rng.uniform(0.01, 1.0, (batch, n)))
+    rhs = rng.normal(size=(batch, n, 2))
+
+    dense = np.zeros((batch, n, n))
+    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+    inside = (cols >= 0) & (cols < n)
+    dense[:, rows[inside], cols[inside]] = band[:, inside]
+    expected = np.linalg.solve(dense, rhs)
+    x = _banded_solve(band, rhs, p)
+    assert x.shape == rhs.shape
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _acceptance_problem(index):
+    rng = np.random.default_rng(20260810)
+    for _ in range(index):
+        make_random_problem(rng)
+    return make_random_problem(rng)
+
+
+@pytest.mark.parametrize(
+    "name, h, l_max",
+    [("entry-basic", 0.0025, 4.0), ("random-0", 0.0025, 4.0), ("random-1", 0.01, 3.99)],
+)
+def test_evaluate_is_exact(name, h, l_max):
+    # The evaluated field is the fixed point of its own policy's update
+    # T_pi: the candidates at the policy's actions, interior and vertex.
+    if name == "entry-basic":
+        problem = jh.builtin_problem(name)
+    else:
+        problem = _acceptance_problem(int(name.split("-")[1]))
+    grid = GridParams(h=h, l_max=l_max, dt=h)
+    field, report = solve(problem, grid)
+    assert report.converged
+    system = build_system(problem, grid)
+    pol = policy(field, system)
+    evaluated = _evaluate(pol, system)
+    interiors, vertex = _candidates(evaluated, system)
+    for e, u in enumerate(evaluated.values):
+        k = np.arange(1, system.n_nodes)
+        image = np.concatenate(
+            ([vertex[e][pol.vertex[e]]], interiors[e][k, pol.controls[e][1:]])
+        )
+        assert np.abs(u - image).max() <= 1e-12
 
 
 def test_solve_does_not_import_scipy():

@@ -2,7 +2,9 @@
 
 The oracle discretizes the same control problem differently on purpose:
 Euler steps snapped to the nearest grid node (no interpolation), switching
-costs charged on the transitions that realize them, plain value iteration.
+costs charged on the transitions that realize them.  It also solves its MDP
+by its own means: policy iteration whose policy values are discounted sums
+along paths (pointer doubling), not the solver's banded linear solves.
 Agreement between the two is evidence that both discretize the same
 value function rather than a shared-code tautology.
 

@@ -145,7 +145,9 @@ def cmd_oracle(args) -> int:
     grid = _grid(args)
     solution = oracle_mod.oracle_solve(problem, grid, tol=args.tol)
     print(f"v(O) = {solution.vertex_value:.9g}")
+    print("method = policy iteration (iterations count policy evaluations)")
     print(f"iterations = {solution.iterations}")
+    print(f"final_change = {solution.final_change:.9g}")
     print(f"converged = {'true' if solution.converged else 'false'}")
     if args.out:
         text = solution.to_csv() if args.format == "csv" else solution.to_json()
@@ -293,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("oracle", help="solve the brute-force snapped MDP")
+    p = sub.add_parser(
+        "oracle", help="solve the brute-force snapped MDP by policy iteration"
+    )
     p.add_argument("spec")
     _add_grid_flags(p)
     _add_common_flags(p)

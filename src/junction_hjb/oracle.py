@@ -1,9 +1,12 @@
 """Independent cross-checks: trajectory costs, a brute-force MDP, reachability.
 
-Nothing here shares discretization machinery with the solver.  The MDP in
-oracle_solve snaps Euler steps to the nearest grid node instead of
-interpolating, charges switching costs on the transitions that realize
-them, and runs plain value iteration, so agreement between the two is
+Nothing here shares discretization or solution machinery with the solver;
+from solver it takes only the GridParams and ValueField containers.  The
+MDP in oracle_solve snaps Euler steps to the nearest grid node instead of
+interpolating and charges switching costs on the transitions that realize
+them.  It is solved by its own policy iteration, which evaluates a policy
+by summing discounted costs along its paths (pointer doubling) rather than
+by the solver's banded linear solves, so agreement between the two is
 evidence rather than tautology.  evaluate_cost integrates the discounted
 running cost of an explicit piecewise-constant control schedule and
 detects edge entries and exits; connect constructs a schedule between two
@@ -230,7 +233,7 @@ def evaluate_cost(
 
 @dataclass
 class OracleSolution:
-    """Value-iteration solution of the snapped MDP.
+    """Policy-iteration solution of the snapped MDP.
 
     values[i][0] holds the common vertex value on every edge (the vertex is
     a single state of the MDP, unlike the per-edge limits of the solver).
@@ -239,8 +242,8 @@ class OracleSolution:
     values: tuple[np.ndarray, ...]
     vertex_value: float
     grid: GridParams
-    iterations: int
-    final_change: float
+    iterations: int  # policy evaluations
+    final_change: float  # sup change of one Bellman update of values
     converged: bool
 
     def to_csv(self) -> str:
@@ -281,30 +284,21 @@ class OracleSolution:
         )
 
 
-def oracle_solve(
-    problem: Problem,
-    grid: GridParams,
-    tol: float = 1e-9,
-    max_iters: int | None = None,
-) -> OracleSolution:
-    """Value iteration on the finite MDP over grid nodes plus the vertex.
+def _snapped_mdp(problem: Problem, grid: GridParams):
+    """The snapped MDP's actions, per edge and at the vertex.
 
-    Transitions are Euler steps snapped to the nearest node with no
-    interpolation.  From the vertex, moving into an edge charges its entry
-    cost; reaching the vertex from inside an edge charges that edge's exit
-    cost, per the cost regime.  The vertex state additionally carries one
-    hold action per edge at that edge's cheapest zero-velocity hull cost:
-    the control set is the convex hull of the samples, and without the hull
-    point a problem whose stationary controls are all interpolated could
-    not park at the vertex at all (entering an edge to chatter would charge
-    its switching cost).
+    Returns (stage, next_idx, hold_stages, sup).  stage[e] and next_idx[e]
+    are (n_nodes, n_controls) arrays of the cost and the successor state of
+    each control of edge e at each node; row 0 holds the moves from the
+    vertex into edge e, with cost inf for inward controls.  State 0 is the
+    vertex and node m >= 1 of edge e is state e * n_intervals + m.
+    hold_stages are the vertex's self-loop costs, and sup bounds |f| and
+    |ell| on the grid.
     """
     n = grid.n_intervals
-    h, dt, lam = grid.h, grid.dt, problem.lam
-    beta = math.exp(-lam * dt)
+    h, dt = grid.h, grid.dt
     entry = problem.regime.kind == "entry"
     costs = problem.regime.costs
-    n_edges = problem.n_edges
     hold_stages = [
         dt * data.zero_min
         for data in vertex_data(problem).edges
@@ -345,42 +339,113 @@ def oracle_solve(
                 came_from_inside & (snapped == 0), costs[e], 0.0
             )
         # At the vertex, inward-pointing controls are infeasible: a state can
-        # only remain at O with zero velocity (the hold actions below), so an
+        # only remain at O with zero velocity (the hold actions), so an
         # artificial clipped hold at f < 0 must not be offered.
         cost_grid[0, :] = np.where(f[0, :] < 0.0, np.inf, cost_grid[0, :])
         next_idx.append(gidx(e, snapped))
         stage.append(cost_grid)
+    return stage, next_idx, hold_stages, sup
+
+
+def _action_table(stage, next_idx, hold_stages):
+    """Stack the per-edge actions into one (n_states, n_actions) table of
+    costs and one of successors, padded with inf.  The vertex row holds
+    every edge's moves from the vertex, then the hold self-loops."""
+    n = stage[0].shape[0] - 1
+    n_vertex = sum(c.shape[1] for c in stage) + len(hold_stages)
+    width = max(n_vertex, max(c.shape[1] for c in stage))
+    cost = np.full((1 + len(stage) * n, width), np.inf)
+    succ = np.zeros(cost.shape, dtype=int)
+    col = 0
+    for e, (c, nx) in enumerate(zip(stage, next_idx)):
+        k = c.shape[1]
+        cost[1 + e * n : 1 + (e + 1) * n, :k] = c[1:]
+        succ[1 + e * n : 1 + (e + 1) * n, :k] = nx[1:]
+        cost[0, col : col + k] = c[0]
+        succ[0, col : col + k] = nx[0]
+        col += k
+    cost[0, col : col + len(hold_stages)] = hold_stages
+    return cost, succ
+
+
+def _path_sums(cost: np.ndarray, succ: np.ndarray, beta: float, rounds: int):
+    """sum over k < 2**rounds of beta**k * cost[succ^k(s)] for every state s,
+    by pointer doubling: each round doubles the summed length of every
+    path, so the cost is rounds gathers, not 2**rounds."""
+    for _ in range(rounds):
+        cost = cost + beta * cost[succ]
+        succ = succ[succ]
+        beta *= beta
+    return cost
+
+
+def oracle_solve(
+    problem: Problem,
+    grid: GridParams,
+    tol: float = 1e-9,
+    max_iters: int | None = None,
+) -> OracleSolution:
+    """Howard policy iteration on the finite MDP over grid nodes plus the
+    vertex.
+
+    Transitions are Euler steps snapped to the nearest node with no
+    interpolation.  From the vertex, moving into an edge charges its entry
+    cost; reaching the vertex from inside an edge charges that edge's exit
+    cost, per the cost regime.  The vertex state additionally carries one
+    hold action per edge at that edge's cheapest zero-velocity hull cost:
+    the control set is the convex hull of the samples, and without the hull
+    point a problem whose stationary controls are all interpolated could
+    not park at the vertex at all (entering an edge to chatter would charge
+    its switching cost).
+
+    Every action has one successor, so a policy's value is a discounted sum
+    along a path, computed by pointer doubling until the unsummed tail is
+    below rounding; no linear system is solved.  The first policy is greedy
+    for zero values; each next one keeps a state's action unless another is
+    strictly better.  It stops when one Bellman update of the evaluated
+    values moves them by at most tol * min(1, (1 - beta) / beta), which puts
+    them within tol of the fixed point (converged), or when the policy stops
+    changing, or after max_iters policy evaluations (iterations).  The
+    default cap is the sweep count value iteration would need.
+    """
+    n = grid.n_intervals
+    lam, dt = problem.lam, grid.dt
+    beta = math.exp(-lam * dt)
+    stage, next_idx, hold_stages, sup = _snapped_mdp(problem, grid)
+    cost, succ = _action_table(stage, next_idx, hold_stages)
 
     if max_iters is None:
-        bound = sup / lam + float(sum(costs))
+        bound = sup / lam + float(sum(problem.regime.costs))
         max_iters = 2 * math.ceil(math.log(max(bound, 2 * tol) / tol) / (lam * dt))
     threshold = tol * min(1.0, (1.0 - beta) / beta)
+    # After r rounds the unsummed tail is beta**(2**r) times a value, at most
+    # machine epsilon times the value bound once beta**(2**r) <= eps.
+    eps = np.finfo(float).eps
+    rounds = max(0, math.ceil(math.log2(-math.log(eps) / (lam * dt))))
 
-    n_states = 1 + n_edges * n
-    values = np.zeros(n_states)
+    states = np.arange(cost.shape[0])
+    action = cost.argmin(axis=1)
+    values = np.zeros(cost.shape[0])
     iterations = 0
     change = math.inf
     converged = False
     while iterations < max_iters:
-        new_values = np.empty(n_states)
-        vertex_candidates = []
-        for e in range(n_edges):
-            cand = stage[e] + beta * values[next_idx[e]]
-            best = cand.min(axis=1)
-            new_values[e * n + 1 : (e + 1) * n + 1] = best[1:]
-            vertex_candidates.append(best[0])
-        for hold in hold_stages:
-            vertex_candidates.append(hold + beta * values[0])
-        new_values[0] = min(vertex_candidates)
-        change = float(np.abs(new_values - values).max())
-        values = new_values
+        values = _path_sums(cost[states, action], succ[states, action], beta, rounds)
         iterations += 1
+        q = cost + beta * values[succ]
+        best = q.argmin(axis=1)
+        low = q[states, best]
+        change = float(np.abs(low - values).max())
         if change <= threshold:
             converged = True
             break
+        improved = np.where(q[states, action] <= low, action, best)
+        if np.array_equal(improved, action):
+            break
+        action = improved
 
     per_edge = []
-    for e in range(n_edges):
+    for e in range(problem.n_edges):
         u = np.empty(n + 1)
         u[0] = values[0]
         u[1:] = values[e * n + 1 : (e + 1) * n + 1]

@@ -344,7 +344,11 @@ def _candidates(field: ValueField, system: DiscreteSystem):
 def sweep(field: ValueField, system: DiscreteSystem) -> tuple[ValueField, float]:
     """One synchronous update of all nodes; returns the new field and the
     sup-norm change."""
-    interiors, vertex = _candidates(field, system)
+    return _minimize(field, system, *_candidates(field, system))
+
+
+def _minimize(field, system, interiors, vertex) -> tuple[ValueField, float]:
+    """sweep() from the candidates of field."""
     new_values = []
     change = 0.0
     for u, interior, branches in zip(field.values, interiors, vertex):
@@ -387,7 +391,11 @@ def policy(
     """Greedy policy of a field: the argmin of the candidates whose min is
     sweep().  With current given, its actions are kept where no other
     action is strictly better."""
-    interiors, vertex = _candidates(field, system)
+    return _greedy(*_candidates(field, system), current)
+
+
+def _greedy(interiors, vertex, current: Policy | None) -> Policy:
+    """policy() from the candidates of a field."""
     controls = tuple(
         _argmin(c, None if current is None else current.controls[e])
         for e, c in enumerate(interiors)
@@ -609,10 +617,11 @@ def _iterate(
         while count < budget:
             field = _evaluate(current, level)
             count += 1
-            _, change = sweep(field, level)
+            candidates = _candidates(field, level)
+            _, change = _minimize(field, level, *candidates)
             if change <= tol * (1.0 - level.beta):
                 break
-            improved = policy(field, level, current)
+            improved = _greedy(*candidates, current)
             if improved.same_as(current):
                 break
             current = improved

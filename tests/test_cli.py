@@ -272,3 +272,24 @@ def test_compare_json_fields_including_oracle(tmp_path, capsys):
     assert main(["compare", str(f_json), str(o_json), "--bound", "0.1"]) == 0
     out = capsys.readouterr().out
     assert "sup_diff" in out
+
+
+def test_oracle_reports_like_solve(tmp_path, capsys):
+    import json
+    import re
+
+    spec = _write_spec(tmp_path)
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", spec, "--dt", "0.03", "--out", str(out), "--format", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"v\(O\) = \S+", lines[0])
+    assert lines[1] == "method = policy iteration (iterations count policy evaluations)"
+    assert re.fullmatch(r"iterations = \d+", lines[2])
+    assert re.fullmatch(r"final_change = \S+", lines[3])
+    assert lines[4] == "converged = true"
+    report = json.loads(out.read_text(encoding="utf-8"))["report"]
+    assert report["iterations"] == int(lines[2].split("=")[1])
+    final_change = float(lines[3].split("=")[1])
+    assert abs(final_change - report["final_change"]) <= 1e-8 * report["final_change"]
+    assert final_change <= 1e-9
+    assert abs(float(lines[0].split("=")[1]) - 0.5) <= 0.05

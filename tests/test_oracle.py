@@ -1,13 +1,20 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import junction_hjb as jh
-from junction_hjb.model import NetworkPoint, parse_problem
+from conftest import make_random_problem
+from junction_hjb import oracle
+from junction_hjb.model import CostRegime, NetworkPoint, Problem, parse_problem
 from junction_hjb.oracle import (
     ControlSchedule,
     SchedulePiece,
+    _snapped_mdp,
     connect,
     evaluate_cost,
     oracle_solve,
@@ -337,3 +344,107 @@ def test_trajectory_exports(benchmark_problem, benchmark_solution):
     assert sidecar.splitlines()[0] == "kind,edge,time,charged_cost"
     assert len(sidecar.splitlines()) == len(traj.switches) + 1
     assert traj.samples[0] == (0.0, NetworkPoint(1, 0.3))
+
+
+# Both edges move only at unit speed, so the only stationary control is the
+# hull point between a = -1 and a = 1: only the hold action can park at O.
+HULL_ONLY = (
+    "[edge]\ncontrols = -1, 1\nf = a\nell = 1 + 0.5 * a\n"
+    "[edge]\ncontrols = -1, 1\nf = a\nell = 1.2 - 0.4 * a\n"
+)
+
+
+def _value_iteration(problem, grid, stop):
+    """Plain value iteration on the oracle's MDP tables until one sweep
+    moves the values by at most stop; returns the per-edge values and the
+    distance bound to the fixed point."""
+    n = grid.n_intervals
+    beta = math.exp(-problem.lam * grid.dt)
+    stage, next_idx, hold_stages, _ = _snapped_mdp(problem, grid)
+    values = np.zeros(1 + problem.n_edges * n)
+    change = math.inf
+    while change > stop:
+        new = np.empty_like(values)
+        vertex = [hold + beta * values[0] for hold in hold_stages]
+        for e in range(problem.n_edges):
+            best = (stage[e] + beta * values[next_idx[e]]).min(axis=1)
+            new[e * n + 1 : (e + 1) * n + 1] = best[1:]
+            vertex.append(best[0])
+        new[0] = min(vertex)
+        change = float(np.abs(new - values).max())
+        values = new
+    per_edge = [np.concatenate(([values[0]], values[e * n + 1 : (e + 1) * n + 1]))
+                for e in range(problem.n_edges)]
+    return per_edge, change * beta / (1.0 - beta)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["entry", "exit"]),
+    zero_cost=st.booleans(),
+    hull_only=st.booleans(),
+    dt_cells=st.sampled_from([1, 3]),
+    lam=st.floats(0.5, 2.0),
+)
+# After one doubling round fewer than the oracle takes, the unsummed tail
+# of a policy value is beta**128 ~ 5e-9 (lambda*dt = 0.15) and
+# beta**512 ~ 4e-9 (lambda*dt = 0.038): these catch a missing round.
+@example(seed=1, kind="entry", zero_cost=False, hull_only=False, dt_cells=3, lam=1.0)
+@example(seed=2, kind="exit", zero_cost=False, hull_only=False, dt_cells=1, lam=0.76)
+@example(seed=3, kind="entry", zero_cost=False, hull_only=True, dt_cells=1, lam=1.0)
+@example(seed=4, kind="exit", zero_cost=True, hull_only=True, dt_cells=3, lam=1.0)
+def test_oracle_matches_value_iteration(seed, kind, zero_cost, hull_only, dt_cells, lam):
+    rng = np.random.default_rng(seed)
+    if hull_only:
+        base = parse_problem(
+            "lambda = 1\nregime = entry\ncosts = 2, 3\n" + HULL_ONLY
+        )
+    else:
+        base = make_random_problem(rng)
+    costs = tuple(float(c) for c in rng.uniform(0.1, 2.0, base.n_edges))
+    if zero_cost:
+        costs = (0.0,) + costs[1:]
+    problem = Problem(base.junction, base.edges, lam, CostRegime(kind, costs))
+    h = 0.05
+    grid = GridParams(h=h, l_max=2.0, dt=dt_cells * h)
+    tol = 1e-9
+    sol = oracle_solve(problem, grid, tol=tol)
+    assert sol.converged
+    beta = math.exp(-lam * grid.dt)
+    assert sol.final_change <= tol * min(1.0, (1.0 - beta) / beta)
+
+    reference, vi_error = _value_iteration(problem, grid, 1e-13)
+    gap = max(float(np.abs(u - v).max()) for u, v in zip(sol.values, reference))
+    assert gap <= tol + vi_error
+    if hull_only:
+        # Parking forever at the hull point is one of the MDP's policies.
+        zero_min = min(d.zero_min for d in jh.vertex_data(problem).edges)
+        assert sol.vertex_value <= grid.dt * zero_min / (1.0 - beta) + tol
+
+
+def test_oracle_budget_of_one_evaluation_is_not_converged():
+    problem = make_random_problem(np.random.default_rng(20260810))
+    grid = GridParams(h=0.05, l_max=2.0, dt=0.15)
+    assert oracle_solve(problem, grid).iterations > 1
+    sol = oracle_solve(problem, grid, max_iters=1)
+    assert sol.iterations == 1
+    assert not sol.converged
+    assert sol.final_change > 1e-9
+
+
+def test_oracle_imports_only_containers_from_solver():
+    # The oracle is a cross-check only while it shares no discretization or
+    # evaluation code with the solver.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module.endswith("solver"):
+                taken += [alias.name for alias in node.names]
+            elif module in (".", "junction_hjb"):
+                assert "solver" not in [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.endswith("solver") for a in node.names)
+    assert sorted(taken) == ["GridParams", "ValueField"]

@@ -336,6 +336,41 @@ def test_json_round_trip_exact(benchmark_solution):
     assert back.vertex_reconstruction == field.vertex_reconstruction
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_edges=st.integers(1, 4),
+    n=st.integers(10, 60),
+    h=st.floats(1e-3, 1.0),
+    dt_ratio=st.sampled_from([1.0, 0.5, 2.0, 3.0, 0.37, 2.6]),
+    with_vertex=st.booleans(),
+)
+@example(seed=0, n_edges=2, n=400, h=0.01, dt_ratio=2.0, with_vertex=True)
+def test_field_files_round_trip(seed, n_edges, n, h, dt_ratio, with_vertex):
+    rng = np.random.default_rng(seed)
+    grid = GridParams(h=h, l_max=n * h, dt=dt_ratio * h)
+    values = tuple(
+        rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-8, 8, n + 1)
+        for _ in range(n_edges)
+    )
+    vertex = float(rng.uniform(-2, 2)) if with_vertex else None
+    field = ValueField(values, grid, vertex)
+
+    back = field_from_json(field_to_json(field))
+    assert back.grid == grid
+    assert all(np.array_equal(a, b) for a, b in zip(back.values, values))
+    assert back.vertex_reconstruction == vertex
+
+    back = field_from_csv(field_to_csv(field))
+    assert back.grid == grid
+    for a, b in zip(back.values, values):
+        np.testing.assert_allclose(a, b, rtol=5e-9, atol=0.0)  # 9 significant digits
+    if vertex is None:
+        assert back.vertex_reconstruction is None
+    else:
+        assert back.vertex_reconstruction == pytest.approx(vertex, rel=5e-9, abs=0.0)
+
+
 def test_nonconvergence_reported_not_raised(benchmark_problem, fine_grid):
     field, report = solve(benchmark_problem, fine_grid, max_iters=5)
     assert not report.converged

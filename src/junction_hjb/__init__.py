@@ -61,7 +61,6 @@ from .solver import (
     policy,
     residual,
     solve,
-    solve_mixed,
     sweep,
 )
 

@@ -35,13 +35,6 @@ def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--max-iters", type=int, default=None)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized workflows (accepted everywhere for "
-        "reproducible run configs; the built-in commands are deterministic)",
-    )
 
 
 def _grid(args) -> solver.GridParams:
@@ -280,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--samples", type=int, default=101)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", help="solve the Hamilton-Jacobi system")
@@ -310,27 +302,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("residual", help="fixed-point residual of a field")
     p.add_argument("spec")
     p.add_argument("--field", required=True)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_residual)
 
     p = sub.add_parser("compare", help="sup-norm difference of two field files")
     p.add_argument("field_a")
     p.add_argument("field_b")
     p.add_argument("--bound", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("example", help="emit a built-in problem file")
     p.add_argument("name", choices=presets.builtin_names())
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_example)
 
     return parser

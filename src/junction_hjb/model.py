@@ -387,6 +387,25 @@ def _convex_hull(points: list[tuple[float, float]]) -> tuple[tuple[float, float]
     return tuple(lower[:-1] + upper[:-1])
 
 
+def _sample_edges(problem: Problem, s: np.ndarray):
+    """f and ell of every edge at the points s for each control, as
+    (len(s), n_controls) pairs, and the sup of |f| and |ell| over all of
+    them.  Raises EvalError when a value is not finite."""
+    sampled = []
+    sup = 0.0
+    for label, spec in enumerate(problem.edges, start=1):
+        controls = np.asarray(spec.controls)
+        f = exprlang.evaluate_array(spec.velocity, s[:, None], controls[None, :])
+        ell = exprlang.evaluate_array(spec.running_cost, s[:, None], controls[None, :])
+        if not (np.isfinite(f).all() and np.isfinite(ell).all()):
+            raise exprlang.EvalError(
+                f"edge {label}: non-finite dynamics or cost on the grid"
+            )
+        sup = max(sup, float(np.abs(f).max()), float(np.abs(ell).max()))
+        sampled.append((f, ell))
+    return sampled, sup
+
+
 def validate(problem: Problem, samples: int = 101, x_max: float = 4.0) -> AssumptionReport:
     """Estimate bounds, slopes, and the controllability margin by sampling.
 

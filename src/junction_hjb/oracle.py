@@ -22,6 +22,7 @@ falls due each time the state reaches the vertex from inside an edge.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import exprlang
 from .hamiltonian import vertex_data
-from .model import NetworkPoint, Problem, validate
+from .model import NetworkPoint, Problem, _sample_edges, validate
 from .solver import GridParams, ValueField
 
 __all__ = [
@@ -112,27 +113,89 @@ def _sup_bound(problem: Problem, s_max: float) -> float:
     return _cached_validate(problem, 64, x_max).sup_bound
 
 
-class _CostAccumulator:
-    """Shared switch/entry bookkeeping for trajectory integration."""
+class _Path:
+    """A trajectory under integration: its state (edge, s, t), the
+    discounted cost so far with its switch charges, and its samples."""
 
-    def __init__(self, problem: Problem):
+    def __init__(self, problem: Problem, x0: NetworkPoint):
         self.problem = problem
-        self.entry_regime = problem.regime.kind == "entry"
-        self.costs = problem.regime.costs
+        self.entry = problem.regime.kind == "entry"
+        self.edge = x0.edge
+        self.s = x0.s
+        self.t = 0.0
         self.cost = 0.0
         self.switches: list[SwitchEvent] = []
+        self.samples = [(0.0, self.edge, self.s, 0.0)]  # (t, edge, s, cost)
 
-    def charge_entry(self, edge: int, t: float):
-        if self.entry_regime:
-            charged = self.costs[edge - 1] * math.exp(-self.problem.lam * t)
-            self.cost += charged
-            self.switches.append(SwitchEvent("entry", edge, t, charged))
+    def _charge(self, kind: str, t: float) -> float:
+        """Record the current edge's switch charge due at time t; return it."""
+        charged = self.problem.regime.costs[self.edge - 1] * math.exp(
+            -self.problem.lam * t
+        )
+        self.switches.append(SwitchEvent(kind, self.edge, t, charged))
+        return charged
 
-    def charge_exit(self, edge: int, t: float):
-        if not self.entry_regime:
-            charged = self.costs[edge - 1] * math.exp(-self.problem.lam * t)
-            self.cost += charged
-            self.switches.append(SwitchEvent("exit", edge, t, charged))
+    def snap(self):
+        """Move a state near the vertex onto it: the exit moment from its
+        edge."""
+        if self.s > 0.0:
+            if not self.entry:
+                self.cost += self._charge("exit", self.t)
+            self.s = 0.0
+
+    def advance(self, control: float, dt: float, steps: int = 1):
+        """steps explicit Euler steps of control on the current edge, with
+        the running cost by the left-endpoint rule and the switch charges
+        that fall due: entry on leaving the vertex, exit on reaching it from
+        inside."""
+        edge = self.edge
+        spec = self.problem.edges[edge - 1]
+        evaluate = exprlang.evaluate
+        lam, entry = self.problem.lam, self.entry
+        s, t, cost = self.s, self.t, self.cost
+        for _ in range(steps):
+            ell = evaluate(spec.running_cost, s, control)
+            f = evaluate(spec.velocity, s, control)
+            cost += math.exp(-lam * t) * ell * dt
+            s_new = s + dt * f
+            t += dt
+            if s_new <= 0.0:
+                if s > 0.0 and not entry:
+                    cost += self._charge("exit", t)
+                s_new = 0.0
+            elif s == 0.0 and entry:  # left the vertex
+                cost += self._charge("entry", t)
+            s = s_new
+            self.samples.append((t, edge, s, cost))
+        self.s, self.t, self.cost = s, t, cost
+
+    def sample(self):
+        """Append the current state: after a move that is not an Euler step."""
+        self.samples.append((self.t, self.edge, self.s, self.cost))
+
+    def trajectory(
+        self, schedule: ControlSchedule, l_max: float = math.inf
+    ) -> Trajectory:
+        """The samples so far, with the tail bound at the current time;
+        left_domain flags a position beyond l_max."""
+        problem = self.problem
+        times, edges, positions, running = zip(*self.samples)
+        s_max = max(positions)
+        bound = _sup_bound(problem, s_max)
+        tail = math.exp(-problem.lam * self.t) * (
+            bound / problem.lam + min(problem.regime.costs)
+        )
+        return Trajectory(
+            times=np.asarray(times),
+            edges=np.asarray(edges, dtype=int),
+            positions=np.asarray(positions),
+            accumulated=np.asarray(running),
+            switches=tuple(self.switches),
+            cost=self.cost,
+            tail_bound=tail,
+            schedule=schedule,
+            left_domain=s_max > l_max,
+        )
 
 
 def evaluate_cost(
@@ -159,72 +222,23 @@ def evaluate_cost(
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    acc = _CostAccumulator(problem)
-    edge = x0.edge
-    s = x0.s
-    at_vertex = s == 0.0
-    t = 0.0
-
-    times = [0.0]
-    edges = [edge]
-    positions = [s]
-    running = [0.0]
-    s_max = s
-
+    path = _Path(problem, x0)
     for piece in schedule.pieces:
-        if piece.edge != edge:
-            if s > h_snap:
+        if piece.edge != path.edge:
+            if path.s > h_snap:
                 raise ValueError(
                     f"schedule switches to edge {piece.edge} while at "
-                    f"({edge}, {s:.6g}): switch away from O"
+                    f"({path.edge}, {path.s:.6g}): switch away from O"
                 )
-            if s > 0.0:
-                # Snapping to the vertex is the exit moment from the old edge.
-                acc.charge_exit(edge, t)
-                s = 0.0
-                at_vertex = True
-            edge = piece.edge
-        spec = problem.edge(edge)
-        if piece.control not in spec.controls:
+            path.snap()
+            path.edge = piece.edge
+        if piece.control not in problem.edge(path.edge).controls:
             raise ValueError(
-                f"control {piece.control!r} is not in edge {edge}'s control list"
+                f"control {piece.control!r} is not in edge {path.edge}'s control list"
             )
         dt = piece.duration / substeps
-        for _ in range(substeps):
-            ell = exprlang.evaluate(spec.running_cost, s, piece.control)
-            f = exprlang.evaluate(spec.velocity, s, piece.control)
-            acc.cost += math.exp(-problem.lam * t) * ell * dt
-            s_new = s + dt * f
-            t += dt
-            if s_new <= 0.0:
-                if s > 0.0:
-                    acc.charge_exit(edge, t)
-                s_new = 0.0
-                at_vertex = True
-            elif at_vertex:
-                acc.charge_entry(edge, t)
-                at_vertex = False
-            s = s_new
-            s_max = max(s_max, s)
-            times.append(t)
-            edges.append(edge)
-            positions.append(s)
-            running.append(acc.cost)
-
-    bound = _sup_bound(problem, s_max)
-    tail = math.exp(-problem.lam * t) * (
-        bound / problem.lam + min(problem.regime.costs)
-    )
-    return Trajectory(
-        times=np.asarray(times),
-        edges=np.asarray(edges, dtype=int),
-        positions=np.asarray(positions),
-        accumulated=np.asarray(running),
-        switches=tuple(acc.switches),
-        cost=acc.cost,
-        tail_bound=tail,
-        schedule=schedule,
-    )
+        path.advance(piece.control, dt, substeps)
+    return path.trajectory(schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -260,28 +274,24 @@ class OracleSolution:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        """JSON mirror of the CSV export with the iteration report attached."""
-
-        def num(x):
-            return format(float(x), ".17g")
-
-        s = self.grid.nodes
-        edge_objs = []
-        for e, u in enumerate(self.values, start=1):
-            s_text = ", ".join(num(v) for v in s[1:])
-            u_text = ", ".join(num(v) for v in u[1:])
-            edge_objs.append(f'{{"edge": {e}, "s": [{s_text}], "values": [{u_text}]}}')
-        return (
-            "{"
-            f'"grid": {{"h": {num(self.grid.h)}, "l_max": {num(self.grid.l_max)}, '
-            f'"dt": {num(self.grid.dt)}}}, '
-            f'"vertex_value": {num(self.vertex_value)}, '
-            f'"edges": [{", ".join(edge_objs)}], '
-            f'"report": {{"iterations": {self.iterations}, '
-            f'"final_change": {num(self.final_change)}, '
-            f'"converged": {"true" if self.converged else "false"}}}'
-            "}\n"
-        )
+        """JSON mirror of the CSV export with the iteration report attached;
+        floats are written by repr, so they read back exactly."""
+        g = self.grid
+        s = g.nodes[1:].tolist()
+        obj = {
+            "grid": {"h": float(g.h), "l_max": float(g.l_max), "dt": float(g.dt)},
+            "vertex_value": float(self.vertex_value),
+            "edges": [
+                {"edge": e, "s": s, "values": u[1:].tolist()}
+                for e, u in enumerate(self.values, start=1)
+            ],
+            "report": {
+                "iterations": self.iterations,
+                "final_change": float(self.final_change),
+                "converged": bool(self.converged),
+            },
+        }
+        return json.dumps(obj) + "\n"
 
 
 def _snapped_mdp(problem: Problem, grid: GridParams):
@@ -311,19 +321,9 @@ def _snapped_mdp(problem: Problem, grid: GridParams):
 
     next_idx: list[np.ndarray] = []
     stage: list[np.ndarray] = []
-    sup = 0.0
     s_nodes = grid.nodes
-    for e, spec in enumerate(problem.edges):
-        controls = np.asarray(spec.controls)
-        f = exprlang.evaluate_array(spec.velocity, s_nodes[:, None], controls[None, :])
-        ell = exprlang.evaluate_array(
-            spec.running_cost, s_nodes[:, None], controls[None, :]
-        )
-        if not (np.isfinite(f).all() and np.isfinite(ell).all()):
-            raise exprlang.EvalError(
-                f"edge {e + 1}: non-finite dynamics or cost on the grid"
-            )
-        sup = max(sup, float(np.abs(f).max()), float(np.abs(ell).max()))
+    sampled, sup = _sample_edges(problem, s_nodes)
+    for e, (f, ell) in enumerate(sampled):
         feet = np.clip(s_nodes[:, None] + dt * f, 0.0, grid.l_max)
         snapped = np.rint(feet / h).astype(int)
         cost_grid = dt * ell
@@ -594,17 +594,8 @@ def simulate(
     entry = problem.regime.kind == "entry"
     costs = problem.regime.costs
 
-    acc = _CostAccumulator(problem)
-    edge = x0.edge
-    s = x0.s
-    at_vertex = s == 0.0
-    t = 0.0
-    times = [0.0]
-    edges = [edge]
-    positions = [s]
-    running = [0.0]
+    path = _Path(problem, x0)
     segments: list[SchedulePiece] = []
-    s_max = s
 
     def record(piece_edge: int, control: float, duration: float):
         if (
@@ -619,20 +610,12 @@ def simulate(
         else:
             segments.append(SchedulePiece(duration, piece_edge, control))
 
-    def step_cost(ell: float) -> float:
-        return math.exp(-lam * t) * ell * dt
-
     n_steps = int(round(horizon / dt))
-    parked = False
     for _ in range(n_steps):
-        if parked:
-            break
+        edge, s = path.edge, path.s
         spec = problem.edge(edge)
         if s <= h_snap:
-            if s > 0.0:
-                acc.charge_exit(edge, t)
-                s = 0.0
-                at_vertex = True
+            path.snap()
             # Candidate branches at the vertex, ties toward the earliest.
             best_kind = None
             best_value = math.inf
@@ -680,28 +663,23 @@ def simulate(
                 # to the horizon and realize it with the generating controls.
                 # The exit from the current edge, if one was due, was charged
                 # on arrival at the vertex; parking charges nothing further.
-                parked = True
-                remaining = horizon - t
+                remaining = horizon - path.t
                 ell0 = -vdata.tangential
-                acc.cost += ell0 * (1 - math.exp(-lam * remaining)) / lam * math.exp(
-                    -lam * t
+                path.cost += ell0 * (1 - math.exp(-lam * remaining)) / lam * math.exp(
+                    -lam * path.t
                 )
                 stall_edge, generator = _stall_generator(problem, vdata)
                 _record_stall(
                     record, problem, stall_edge, generator, remaining, dt
                 )
-                t = horizon
-                times.append(t)
-                edges.append(stall_edge)
-                positions.append(0.0)
-                running.append(acc.cost)
+                path.edge, path.s, path.t = stall_edge, 0.0, horizon
+                path.sample()
                 break
 
             kind, target, a = best_kind
-            if kind == "switch" and target != edge:
+            if kind == "switch":
                 # The exit charge, if due, already fell at the arrival time.
-                edge = target
-                spec = problem.edge(edge)
+                path.edge = target
         else:
             candidates = []
             for a in spec.controls:
@@ -713,39 +691,11 @@ def simulate(
                 candidates.append((value, a))
             a = min(candidates, key=lambda item: item[0])[1]
 
-        ell = exprlang.evaluate(spec.running_cost, s, a)
-        f = exprlang.evaluate(spec.velocity, s, a)
-        acc.cost += step_cost(ell)
-        record(edge, a, dt)
-        s_new = s + dt * f
-        t += dt
-        if s_new <= 0.0:
-            if s > 0.0:
-                acc.charge_exit(edge, t)
-            s_new = 0.0
-            at_vertex = True
-        elif at_vertex:
-            acc.charge_entry(edge, t)
-            at_vertex = False
-        s = s_new
-        s_max = max(s_max, s)
-        times.append(t)
-        edges.append(edge)
-        positions.append(s)
-        running.append(acc.cost)
+        record(path.edge, a, dt)
+        path.advance(a, dt)
 
-    bound = _sup_bound(problem, s_max)
-    tail = math.exp(-lam * t) * (bound / lam + min(problem.regime.costs))
-    return Trajectory(
-        times=np.asarray(times),
-        edges=np.asarray(edges, dtype=int),
-        positions=np.asarray(positions),
-        accumulated=np.asarray(running),
-        switches=tuple(acc.switches),
-        cost=acc.cost,
-        tail_bound=tail,
-        schedule=ControlSchedule(tuple(segments)),
-        left_domain=s_max > field.grid.l_max,
+    return path.trajectory(
+        ControlSchedule(tuple(segments)), l_max=field.grid.l_max
     )
 
 

@@ -59,14 +59,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import exprlang
 from .hamiltonian import VertexData, vertex_data
-from .model import Problem
+from .model import Problem, _sample_edges
 
 __all__ = [
     "GridParams",
@@ -79,7 +77,6 @@ __all__ = [
     "Policy",
     "policy",
     "solve",
-    "solve_mixed",
     "residual",
     "field_to_csv",
     "field_from_csv",
@@ -141,33 +138,19 @@ class SolveReport:
     final_change: float
     max_residual: float
     converged: bool
-    # For mixed solves only: did the converged vertex values satisfy the
-    # shared-component inequality for the positive-cost edges?
+    # With some zero switching cost only: did the converged vertex limits
+    # satisfy the shared-component inequality for the positive-cost edges?
     mixed_vertex_check: bool | None = None
     # Policy evaluations on each grid of the coarse-to-fine ladder, coarsest
     # first; they sum to iterations.
     level_iterations: tuple[int, ...] = ()
 
 
-def _worker_count(n_edges: int, n_nodes: int) -> int:
-    """Resolve JUNCTION_HJB_THREADS (0 or unset = auto) into a worker count."""
-    raw = os.environ.get("JUNCTION_HJB_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"JUNCTION_HJB_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ValueError("JUNCTION_HJB_THREADS must be >= 0")
-    if cap == 0:
-        # Auto: parallel edges only pay off for large grids.
-        if n_edges * n_nodes < 200_000:
-            return 1
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_edges))
-
-
 class DiscreteSystem:
     """Precomputed semi-Lagrangian data for one problem on one grid."""
+
+    # Every update runs in the calling thread; perfbench/run.py reports this.
+    workers = 1
 
     def __init__(self, problem: Problem, grid: GridParams):
         self._build(problem, grid, vertex_data(problem))
@@ -197,18 +180,8 @@ class DiscreteSystem:
         self.vertex_w: list[np.ndarray] = []
         self.vertex_stage: list[np.ndarray] = []
 
-        sup = 0.0
-        for label, spec in enumerate(problem.edges, start=1):
-            controls = np.asarray(spec.controls)
-            f = exprlang.evaluate_array(spec.velocity, s[:, None], controls[None, :])
-            ell = exprlang.evaluate_array(
-                spec.running_cost, s[:, None], controls[None, :]
-            )
-            if not (np.isfinite(f).all() and np.isfinite(ell).all()):
-                raise exprlang.EvalError(
-                    f"edge {label}: non-finite dynamics or cost on the grid"
-                )
-            sup = max(sup, float(np.abs(f).max()), float(np.abs(ell).max()))
+        sampled, sup = _sample_edges(problem, s)
+        for label, (f, ell) in enumerate(sampled, start=1):
             lo, w = self._foot_weights(s[:, None] + grid.dt * f)
             self.foot_lo.append(lo)
             self.foot_w.append(w)
@@ -251,16 +224,6 @@ class DiscreteSystem:
             const += [park] + [0.0] * n_pairs
             self.vertex_branches.append(branches)
             self.vertex_const.append(np.asarray(const))
-        self.workers = _worker_count(problem.n_edges, self.n_nodes)
-        self._pool = None
-
-    def pool(self):
-        """Shared thread pool for per-edge interior updates (workers > 1)."""
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
 
     def _foot_weights(self, feet: np.ndarray):
         """Clip feet to the grid and split into (lower index, upper weight)."""
@@ -299,15 +262,6 @@ def constant_field(system: DiscreteSystem, value: float) -> ValueField:
     )
 
 
-def _interior_candidates(
-    system: DiscreteSystem, e: int, u: np.ndarray
-) -> np.ndarray:
-    lo = system.foot_lo[e]
-    w = system.foot_w[e]
-    interp = u[lo] * (1.0 - w) + u[lo + 1] * w
-    return system.stage[e] + system.beta * interp
-
-
 def _candidates(field: ValueField, system: DiscreteSystem):
     """Right-hand side of the update for every action: per edge, an
     (n_nodes, n_controls) array for the interior and one value per entry of
@@ -316,22 +270,18 @@ def _candidates(field: ValueField, system: DiscreteSystem):
     n_edges = system.problem.n_edges
     u = field.values
 
-    if system.workers > 1:
-        interiors = list(
-            system.pool().map(
-                lambda e: _interior_candidates(system, e, u[e]), range(n_edges)
-            )
-        )
-    else:
-        interiors = [_interior_candidates(system, e, u[e]) for e in range(n_edges)]
+    def one_step(values, lo, w, stage):
+        return stage + system.beta * (values[lo] * (1.0 - w) + values[lo + 1] * w)
 
+    interiors = [
+        one_step(u[e], system.foot_lo[e], system.foot_w[e], system.stage[e])
+        for e in range(n_edges)
+    ]
     # One-step values of moving from the vertex into each edge, per pair.
-    steps = []
-    for j in range(n_edges):
-        lo = system.vertex_lo[j]
-        w = system.vertex_w[j]
-        interp = u[j][lo] * (1.0 - w) + u[j][lo + 1] * w
-        steps.append(system.vertex_stage[j] + system.beta * interp)
+    steps = [
+        one_step(u[j], system.vertex_lo[j], system.vertex_w[j], system.vertex_stage[j])
+        for j in range(n_edges)
+    ]
 
     park = np.zeros(1)
     vertex = []
@@ -604,6 +554,7 @@ def _iterate(
     budget = max_iters
     counts = []
     for level in levels:
+        change = None
         if level is not coarsest:
             nodes = level.grid.nodes
             field = ValueField(
@@ -629,7 +580,9 @@ def _iterate(
         counts.append(count)
 
     field.vertex_reconstruction = _reconstruct_vertex(field, system)
-    _, max_res = residual(field, system)
+    if change is None:
+        # The budget ran out before the requested grid evaluated a policy.
+        _, change = residual(field, system)
 
     bound = system.value_bound + 10 * tol
     for u in field.values:
@@ -638,9 +591,9 @@ def _iterate(
 
     report = SolveReport(
         iterations=sum(counts),
-        final_change=max_res,
-        max_residual=max_res,
-        converged=max_res <= tol * (1.0 - system.beta),
+        final_change=change,
+        max_residual=change,
+        converged=change <= tol * (1.0 - system.beta),
         level_iterations=tuple(counts),
     )
     return field, report
@@ -660,49 +613,32 @@ def solve(
     the requested one and the report says not converged.  init only seeds
     the first policy.
 
-    Problems with strictly positive switching costs are solved directly;
-    problems with one or more zero costs are delegated to solve_mixed.
+    Zero switching costs need no other scheme: the vertex update makes the
+    limits of all zero-cost edges agree (their shared value is the
+    continuous component).  When some cost is zero, the report's
+    mixed_vertex_check says whether the converged limits satisfy the
+    shared-component inequality to within 10*tol: with entry costs the
+    shared value dominates every positive-cost edge limit, with exit costs
+    (a mirrored construction) it is dominated by them.  With every cost
+    positive it is None.
     """
-    if any(c == 0.0 for c in problem.regime.costs):
-        return solve_mixed(problem, grid, tol=tol, max_iters=max_iters, init=init)
-    system = build_system(problem, grid)
-    return _iterate(system, tol, max_iters, init)
-
-
-def solve_mixed(
-    problem: Problem,
-    grid: GridParams,
-    tol: float = 1e-9,
-    max_iters: int | None = None,
-    init: ValueField | None = None,
-) -> tuple[ValueField, SolveReport]:
-    """Solve with some switching costs equal to zero.
-
-    Zero-cost edges share a common vertex limit (the continuous component);
-    the converged values are checked against the shared-component
-    inequality and the outcome is recorded in the report: with entry costs
-    the shared value dominates every positive-cost edge limit, with exit
-    costs (a mirrored construction) the inequality is reversed.
-    """
-    zero = problem.regime.zero_cost_edges
-    if not zero:
-        raise ValueError("solve_mixed requires at least one zero switching cost")
     system = build_system(problem, grid)
     field, report = _iterate(system, tol, max_iters, init)
-
+    zero = problem.regime.zero_cost_edges
+    if not zero:
+        return field, report
     shared = max(float(field.values[i - 1][0]) for i in zero)
-    ok = True
     slack = 10 * tol
-    for label in problem.junction.edge_labels:
-        if label in zero:
-            continue
-        limit = float(field.values[label - 1][0])
-        if problem.regime.kind == "entry":
-            ok = ok and (shared >= limit - slack)
-        else:
-            ok = ok and (shared <= limit + slack)
-    report = replace(report, mixed_vertex_check=ok)
-    return field, report
+    limits = [
+        float(field.values[label - 1][0])
+        for label in problem.junction.edge_labels
+        if label not in zero
+    ]
+    if problem.regime.kind == "entry":
+        ok = all(shared >= limit - slack for limit in limits)
+    else:
+        ok = all(shared <= limit + slack for limit in limits)
+    return field, replace(report, mixed_vertex_check=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +647,6 @@ def solve_mixed(
 
 def _fmt_csv(x: float) -> str:
     return format(float(x), ".9g")
-
-
-def _fmt_json(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def field_to_csv(field: ValueField) -> str:
@@ -728,9 +660,7 @@ def field_to_csv(field: ValueField) -> str:
     recon = field.vertex_reconstruction
     lines.append(f"0,0,{_fmt_csv(recon)}" if recon is not None else "0,0,nan")
     g = field.grid
-    lines.append(
-        f"# grid h={_fmt_json(g.h)} l_max={_fmt_json(g.l_max)} dt={_fmt_json(g.dt)}"
-    )
+    lines.append(f"# grid h={g.h:.17g} l_max={g.l_max:.17g} dt={g.dt:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -797,36 +727,29 @@ def field_from_csv(text: str) -> ValueField:
 
 
 def field_to_json(field: ValueField, report: SolveReport | None = None) -> str:
-    """Deterministic JSON with 17 significant digits on every float."""
-    s = field.grid.nodes
-    edge_objs = []
-    for e, u in enumerate(field.values, start=1):
-        s_text = ", ".join(_fmt_json(v) for v in s)
-        u_text = ", ".join(_fmt_json(v) for v in u)
-        edge_objs.append(
-            f'{{"edge": {e}, "s": [{s_text}], "values": [{u_text}]}}'
-        )
+    """Deterministic JSON; floats are written by repr, so they read back
+    exactly."""
+    g = field.grid
+    s = g.nodes.tolist()
     recon = field.vertex_reconstruction
-    recon_text = _fmt_json(recon) if recon is not None else "null"
-    parts = [
-        f'"grid": {{"h": {_fmt_json(field.grid.h)}, '
-        f'"l_max": {_fmt_json(field.grid.l_max)}, '
-        f'"dt": {_fmt_json(field.grid.dt)}}}',
-        f'"vertex_reconstruction": {recon_text}',
-        f'"edges": [{", ".join(edge_objs)}]',
-    ]
+    obj = {
+        "grid": {"h": float(g.h), "l_max": float(g.l_max), "dt": float(g.dt)},
+        "vertex_reconstruction": None if recon is None else float(recon),
+        "edges": [
+            {"edge": e, "s": s, "values": u.tolist()}
+            for e, u in enumerate(field.values, start=1)
+        ],
+    }
     if report is not None:
-        check = report.mixed_vertex_check
-        check_text = "null" if check is None else ("true" if check else "false")
-        parts.append(
-            f'"report": {{"iterations": {report.iterations}, '
-            f'"final_change": {_fmt_json(report.final_change)}, '
-            f'"max_residual": {_fmt_json(report.max_residual)}, '
-            f'"converged": {"true" if report.converged else "false"}, '
-            f'"mixed_vertex_check": {check_text}, '
-            f'"level_iterations": {list(report.level_iterations)}}}'
-        )
-    return "{" + ", ".join(parts) + "}\n"
+        obj["report"] = {
+            "iterations": report.iterations,
+            "final_change": float(report.final_change),
+            "max_residual": float(report.max_residual),
+            "converged": bool(report.converged),
+            "mixed_vertex_check": report.mixed_vertex_check,
+            "level_iterations": list(report.level_iterations),
+        }
+    return json.dumps(obj) + "\n"
 
 
 def field_from_json(text: str) -> ValueField:

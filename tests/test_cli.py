@@ -239,8 +239,8 @@ def test_solver_outputs_are_deterministic(tmp_path):
     spec = _write_spec(tmp_path)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    assert main(["solve", spec, "--out", str(a), "--format", "json", "--seed", "0"]) == 0
-    assert main(["solve", spec, "--out", str(b), "--format", "json", "--seed", "0"]) == 0
+    assert main(["solve", spec, "--out", str(a), "--format", "json"]) == 0
+    assert main(["solve", spec, "--out", str(b), "--format", "json"]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -1,7 +1,9 @@
+import ast
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from junction_hjb.solver import (
     policy,
     residual,
     solve,
-    solve_mixed,
     sweep,
 )
 
@@ -210,9 +211,33 @@ def test_solve_delegates_zero_costs_to_mixed(fine_grid):
     assert report.mixed_vertex_check is True
 
 
-def test_solve_mixed_requires_zero_cost(benchmark_problem, fine_grid):
-    with pytest.raises(ValueError, match="zero switching cost"):
-        solve_mixed(benchmark_problem, fine_grid)
+def _two_edges(kind: str, costs: str, ell_1: str, ell_2: str) -> Problem:
+    return parse_problem(
+        f"lambda = 1\nregime = {kind}\ncosts = {costs}\n"
+        f"[edge]\ncontrols = -1, 0, 1\nf = a\nell = {ell_1}\n"
+        f"[edge]\ncontrols = -1, 0, 1\nf = a\nell = {ell_2}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, check",
+    [
+        (jh.builtin_problem("entry-mixed"), True),
+        (jh.builtin_problem("entry-free"), True),
+        (jh.builtin_problem("exit-basic"), True),
+        (jh.builtin_problem("entry-basic"), None),
+        # Strict inequalities, which a check in the wrong direction fails:
+        # shared limit 1 above the positive-cost limit 0, and 0 below 0.5.
+        (_two_edges("entry", "0, 10", "1", "1 - a"), True),
+        (_two_edges("exit", "0, 0.5", "1 - a", "1"), True),
+    ],
+    ids=["entry-mixed", "entry-free", "exit-basic", "entry-basic", "entry-strict", "exit-strict"],
+)
+def test_mixed_vertex_check(problem, check, fine_grid):
+    # Zero costs make solve check the shared-component inequality (the
+    # reversed one for exit costs); with every cost positive there is none.
+    _, report = solve(problem, fine_grid)
+    assert report.mixed_vertex_check is check
 
 
 def test_mixed_all_zero_costs_identical_vertex_values(fine_grid):
@@ -332,7 +357,7 @@ def test_json_round_trip_exact(benchmark_solution):
     assert text == field_to_json(field, report)
     back = field_from_json(text)
     for a, b in zip(field.values, back.values):
-        assert (a == b).all()  # 17 significant digits round-trip floats exactly
+        assert (a == b).all()  # repr floats round-trip exactly
     assert back.vertex_reconstruction == field.vertex_reconstruction
 
 
@@ -513,12 +538,17 @@ def test_converged_implies_change_below_tol_on_coarse_steps():
     assert report.final_change <= 1e-9
 
 
-def test_thread_env_var_does_not_change_results(benchmark_problem, fine_grid, monkeypatch, benchmark_solution):
-    serial_field, _ = benchmark_solution
-    monkeypatch.setenv("JUNCTION_HJB_THREADS", "2")
-    threaded_field, report = solve(benchmark_problem, fine_grid)
-    assert report.converged
-    assert serial_field.sup_distance(threaded_field) == 0.0
-    monkeypatch.setenv("JUNCTION_HJB_THREADS", "nope")
-    with pytest.raises(ValueError, match="JUNCTION_HJB_THREADS"):
-        solve(benchmark_problem, fine_grid)
+def test_package_reads_no_environment_variables():
+    # Results depend on the arguments alone: no module reads os.environ or
+    # os.getenv, directly or through a from-import.
+    package = Path(jh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert (node.value.id, node.attr) not in (
+                    ("os", "environ"),
+                    ("os", "getenv"),
+                ), f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                assert not names & {"environ", "getenv"}, f"{path.name}:{node.lineno}"

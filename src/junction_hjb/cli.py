@@ -136,7 +136,9 @@ def cmd_oracle(args) -> int:
     if bad is not None:
         return bad
     grid = _grid(args)
-    solution = oracle_mod.oracle_solve(problem, grid, tol=args.tol)
+    solution = oracle_mod.oracle_solve(
+        problem, grid, tol=args.tol, max_iters=args.max_iters
+    )
     print(f"v(O) = {solution.vertex_value:.9g}")
     print("method = policy iteration (iterations count policy evaluations)")
     print(f"iterations = {solution.iterations}")

@@ -18,35 +18,31 @@ Grammar (EBNF)::
 than ``*`` and ``/``, which bind tighter than ``+`` and ``-``.  Numbers are
 decimal with an optional exponent.  The known functions are ``sin``,
 ``cos``, ``exp``, ``abs`` (unary) and ``min``, ``max`` (binary).
+
+A tree is compiled to a Python ``lambda x, a: ...`` on its first evaluation
+(not by ``parse``) and cached on the node.  Only numbers, ``x``, ``a``, ``pi``
+and the six functions reach the generated code, so no text of a formula is
+ever executed.  ``evaluate`` raises EvalError wherever a tree walker that
+checks every operation would (see its docstring); ``evaluate_array`` never
+raises: invalid entries come out non-finite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Expression",
-    "Lit",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Call",
-    "ExprError",
-    "ExprSyntaxError",
-    "EvalError",
-    "parse",
-    "evaluate",
-    "evaluate_array",
-    "format_expr",
-    "format_number",
+    "Expression", "Lit", "Var", "Neg", "BinOp", "Call", "ExprError", "ExprSyntaxError",
+    "EvalError", "parse", "evaluate", "evaluate_array", "format_expr", "format_number",
 ]
 
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "min": 2, "max": 2}
 VARIABLES = ("x", "a")
-BINARY_OPS = ("+", "-", "*", "/", "^")
 
 
 class ExprError(ValueError):
@@ -68,6 +64,17 @@ class EvalError(ExprError):
 @dataclass(frozen=True)
 class Expression:
     """Base node type; concrete nodes are Lit, Var, Neg, BinOp, Call."""
+
+    @functools.cached_property
+    def _scalar(self):
+        return _compile(self, checked=True)
+
+    @functools.cached_property
+    def _array(self):
+        return _compile(self, checked=False)
+
+    def __getstate__(self):  # compiled forms do not pickle; they are rebuilt on use
+        return {k: v for k, v in vars(self).items() if k not in ("_scalar", "_array")}
 
 
 @dataclass(frozen=True)
@@ -253,111 +260,102 @@ def parse(source: str) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: each tree is compiled to a Python lambda on first use
 # ---------------------------------------------------------------------------
 
-_SCALAR_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs}
-
-
 def evaluate(expr: Expression, x: float, a: float) -> float:
-    """Evaluate a tree at position ``x`` and control ``a``.
+    """Evaluate a tree at position ``x`` and control ``a``; raises EvalError
+    on division by zero, zero raised to a negative power, domain errors, and
+    any non-finite intermediate or final result."""
+    try:
+        value = expr._scalar(x, a)
+    except (ArithmeticError, ValueError) as exc:  # EvalError is a ValueError
+        raise EvalError(f"{exc} (at x={x!r}, a={a!r})") from None
+    return _finite(value)
 
-    Raises EvalError on division by zero, zero raised to a negative power,
-    domain errors, and any non-finite intermediate or final result.
-    """
-    value = _eval(expr, x, a)
+
+def evaluate_array(expr: Expression, x, a) -> np.ndarray:
+    """Vectorized evaluation over numpy arrays (broadcasting x against a);
+    invalid operations give non-finite entries, for callers to judge."""
+    x, a = np.asarray(x, dtype=float), np.asarray(a, dtype=float)
+    with np.errstate(all="ignore"):
+        out = expr._array(x, a)
+    return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(x.shape, a.shape)).copy()
+
+
+def _finite(value):
     if not math.isfinite(value):
         raise EvalError(f"non-finite result {value!r}")
     return value
 
 
-def _eval(expr: Expression, x: float, a: float) -> float:
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
-        return x if expr.name == "x" else a
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, x, a)
-    if isinstance(expr, BinOp):
-        left = _eval(expr.left, x, a)
-        right = _eval(expr.right, x, a)
-        if expr.op == "+":
-            result = left + right
-        elif expr.op == "-":
-            result = left - right
-        elif expr.op == "*":
-            result = left * right
-        elif expr.op == "/":
-            if right == 0.0:
-                raise EvalError("division by zero")
-            result = left / right
-        else:  # "^"
-            if left == 0.0 and right < 0.0:
-                raise EvalError("zero raised to a negative power")
-            try:
-                result = math.pow(left, right)
-            except (ValueError, OverflowError) as exc:
-                raise EvalError(f"pow({left}, {right}): {exc}") from None
-        if not math.isfinite(result):
-            raise EvalError(f"non-finite result in {expr.op!r}")
-        return result
-    if isinstance(expr, Call):
-        args = [_eval(arg, x, a) for arg in expr.args]
-        if expr.func == "min":
-            return min(args)
-        if expr.func == "max":
-            return max(args)
-        try:
-            result = _SCALAR_FUNCS[expr.func](args[0])
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{expr.func}({args[0]}): {exc}") from None
-        return result
-    raise TypeError(f"not an expression node: {expr!r}")
+def _checked_pow(left, right):
+    if left == 0.0 and right < 0.0:
+        raise EvalError("zero raised to a negative power")
+    return math.pow(left, right)
 
 
-def evaluate_array(expr: Expression, x, a) -> np.ndarray:
-    """Vectorized evaluation over numpy arrays (broadcasting x against a).
-
-    Invalid operations produce non-finite entries instead of raising; callers
-    decide whether non-finite values are errors or reportable violations.
-    """
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    with np.errstate(all="ignore"):
-        out = _eval_array(expr, x, a)
-    return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(x.shape, a.shape)).copy()
+# All that generated code can reach; "_pow" takes nonnegative literal exponents.
+_SCALAR_NAMESPACE = {"__builtins__": {}, "_fin": _finite, "_div": operator.truediv,
+                     "_pow": math.pow, "_checked_pow": _checked_pow, "sin": math.sin,
+                     "cos": math.cos, "exp": math.exp, "abs": abs, "min": min, "max": max}
+_ARRAY_NAMESPACE = {"__builtins__": {}, "_div": np.divide, "_pow": np.power,
+                    "_checked_pow": np.power, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+                    "abs": np.abs, "min": np.minimum, "max": np.maximum}
+_INFIX = {"+": 1, "-": 1, "*": 2}  # precedence, the same in Python
+_SPLIT_DEPTH = 32  # deeper subtrees are compiled apart: Python limits nesting
 
 
-_ARRAY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
+def _compile(expr: Expression, checked: bool):
+    """expr as ``lambda x, a: ...``; literals and split subtrees are closure constants."""
+    consts: list = []
+    body = _source(expr, consts, checked, True, 0)[0]
+    params = ", ".join(f"_k{i}" for i in range(len(consts)))
+    return _factory(f"lambda {params}: lambda x, a: {body}", checked)(*consts)
 
 
-def _eval_array(expr: Expression, x, a):
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
-        return x if expr.name == "x" else a
-    if isinstance(expr, Neg):
-        return -_eval_array(expr.operand, x, a)
-    if isinstance(expr, BinOp):
-        left = _eval_array(expr.left, x, a)
-        right = _eval_array(expr.right, x, a)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            return np.divide(left, right)
-        return np.power(left, right)
-    if isinstance(expr, Call):
-        args = [_eval_array(arg, x, a) for arg in expr.args]
-        if expr.func == "min":
-            return np.minimum(args[0], args[1])
-        if expr.func == "max":
-            return np.maximum(args[0], args[1])
-        return _ARRAY_FUNCS[expr.func](args[0])
-    raise TypeError(f"not an expression node: {expr!r}")
+@functools.lru_cache(maxsize=1024)  # trees of one shape differ only in constants
+def _factory(source: str, checked: bool):
+    return eval(source, _SCALAR_NAMESPACE if checked else _ARRAY_NAMESPACE)
+
+
+def _source(node, consts: list, checked: bool, chained: bool, depth: int) -> tuple[str, int]:
+    """Source of node and its precedence (1 sum, 2 product, 3 negation, 4
+    atom), parenthesized only where Python would group otherwise.  With
+    checked, a BinOp result is tested for finiteness unless chained: its
+    nearest ancestor other than Neg is +, - or *, which carry inf and nan to
+    the top of the chain, or it has none, and evaluate tests the root."""
+    if isinstance(node, Lit):
+        consts.append(node.value)
+        return f"_k{len(consts) - 1}", 4
+    if isinstance(node, Var):
+        return ("x" if node.name == "x" else "a"), 4
+    if depth >= _SPLIT_DEPTH and not isinstance(node, Neg):
+        consts.append(node._scalar if checked else node._array)
+        text, prec = f"_k{len(consts) - 1}(x, a)", 4
+    elif isinstance(node, Neg):
+        text, prec = _source(node.operand, consts, checked, chained, depth + 1)
+        return (f"-{text}" if prec >= 3 else f"-({text})"), 3
+    elif isinstance(node, BinOp) and node.op in _INFIX:
+        prec = _INFIX[node.op]
+        left, lp = _source(node.left, consts, checked, True, depth + 1)
+        right, rp = _source(node.right, consts, checked, True, depth + 1)
+        left = left if lp >= prec else f"({left})"
+        text = f"{left} {node.op} {right if rp > prec else f'({right})'}"
+    elif isinstance(node, BinOp):
+        unsigned = isinstance(node.right, Lit) and node.right.value >= 0.0
+        func = "_div" if node.op == "/" else "_pow" if unsigned else "_checked_pow"
+        left = _source(node.left, consts, checked, False, depth + 1)[0]
+        right = _source(node.right, consts, checked, False, depth + 1)[0]
+        text, prec = f"{func}({left}, {right})", 4
+    elif isinstance(node, Call) and node.func in FUNCTIONS:
+        args = ", ".join(_source(arg, consts, checked, False, depth + 1)[0] for arg in node.args)
+        return f"{node.func}({args})", 4
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    if checked and not chained and isinstance(node, BinOp):
+        return f"_fin({text})", 4
+    return text, prec
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +364,8 @@ def _eval_array(expr: Expression, x, a):
 
 def format_number(value: float) -> str:
     """Canonical text for a numeric literal; reparses to the same float."""
+    if value == math.inf:
+        return "1e999"  # a literal that overflows, as parse reads it
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)

@@ -143,19 +143,24 @@ class _Path:
                 self.cost += self._charge("exit", self.t)
             self.s = 0.0
 
-    def advance(self, control: float, dt: float, steps: int = 1):
+    def advance(self, control: float, dt: float, steps: int = 1, first=None):
         """steps explicit Euler steps of control on the current edge, with
         the running cost by the left-endpoint rule and the switch charges
         that fall due: entry on leaving the vertex, exit on reaching it from
-        inside."""
+        inside.  first, when given, is the pair (f, ell) of control at the
+        current state, which the caller has already evaluated."""
         edge = self.edge
         spec = self.problem.edges[edge - 1]
         evaluate = exprlang.evaluate
         lam, entry = self.problem.lam, self.entry
         s, t, cost = self.s, self.t, self.cost
         for _ in range(steps):
-            ell = evaluate(spec.running_cost, s, control)
-            f = evaluate(spec.velocity, s, control)
+            if first is None:
+                ell = evaluate(spec.running_cost, s, control)
+                f = evaluate(spec.velocity, s, control)
+            else:
+                f, ell = first
+                first = None
             cost += math.exp(-lam * t) * ell * dt
             s_new = s + dt * f
             t += dt
@@ -623,40 +628,35 @@ def simulate(
                 if j == edge:
                     continue
                 data = vdata.edge(j)
-                jspec = problem.edge(j)
-                candidates = [
-                    (f, a)
-                    for a, f in zip(jspec.controls, data.velocities)
-                    if f > 0.0
-                ]
-                if not candidates:
-                    continue
                 switch_cost = costs[j - 1] if entry else costs[edge - 1]
-                for f, a in candidates:
-                    ell = exprlang.evaluate(jspec.running_cost, 0.0, a)
+                controls = problem.edge(j).controls
+                for a, f, ell in zip(controls, data.velocities, data.costs):
+                    if f <= 0.0:
+                        continue
                     value = switch_cost + dt * ell + beta * _interp(
                         field.values[j - 1], field.grid, dt * f
                     )
                     if value < best_value:
                         best_value = value
-                        best_kind = ("switch", j, a)
+                        best_kind = ("switch", j, a, (f, ell))
             stall_branch = stall_value if entry else costs[edge - 1] + stall_value
             if stall_branch < best_value:
                 best_value = stall_branch
-                best_kind = ("stall", None, None)
+                best_kind = ("stall", None, None, None)
             data = vdata.edge(edge)
-            for a, f in zip(spec.controls, data.velocities):
+            for a, f, ell in zip(spec.controls, data.velocities, data.costs):
                 if f < 0.0:
                     # Inward controls cannot hold the state at the vertex;
                     # relaxed holds are covered by the stall branch.
                     continue
-                ell = exprlang.evaluate(spec.running_cost, 0.0, a)
                 value = dt * ell + beta * _interp(
                     field.values[edge - 1], field.grid, dt * f
                 )
                 if value < best_value:
                     best_value = value
-                    best_kind = ("continue", edge, a)
+                    # vertex_data snaps |f| <= ZERO_VELOCITY_TOL to 0, so a
+                    # zero is evaluated again in the step.
+                    best_kind = ("continue", edge, a, (f, ell) if f else None)
 
             if best_kind is None or best_kind[0] == "stall":
                 # Park forever: accumulate the discounted stationary cost up
@@ -676,7 +676,7 @@ def simulate(
                 path.sample()
                 break
 
-            kind, target, a = best_kind
+            kind, target, a, first = best_kind
             if kind == "switch":
                 # The exit charge, if due, already fell at the arrival time.
                 path.edge = target
@@ -688,11 +688,11 @@ def simulate(
                 value = dt * ell + beta * _interp(
                     field.values[edge - 1], field.grid, s + dt * f
                 )
-                candidates.append((value, a))
-            a = min(candidates, key=lambda item: item[0])[1]
+                candidates.append((value, a, (f, ell)))
+            _, a, first = min(candidates, key=lambda item: item[0])
 
         record(path.edge, a, dt)
-        path.advance(a, dt)
+        path.advance(a, dt, first=first)
 
     return path.trajectory(
         ControlSchedule(tuple(segments)), l_max=field.grid.l_max

@@ -293,3 +293,10 @@ def test_oracle_reports_like_solve(tmp_path, capsys):
     assert abs(final_change - report["final_change"]) <= 1e-8 * report["final_change"]
     assert final_change <= 1e-9
     assert abs(float(lines[0].split("=")[1]) - 0.5) <= 0.05
+
+
+def test_oracle_honours_max_iters(tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    assert main(["oracle", spec, "--dt", "0.03", "--max-iters", "1"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "iterations = 1" in lines and "converged = false" in lines

@@ -1,7 +1,9 @@
 import math
+import pickle
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from junction_hjb import exprlang
 from junction_hjb.exprlang import (
@@ -94,12 +96,16 @@ def test_format_examples():
 
 
 # Arbitrary trees: literals are nonnegative (the grammar produces negative
-# values only through unary minus).
+# values only through unary minus); parse("1e999") yields Lit(inf).
 _lits = st.one_of(
     st.integers(min_value=0, max_value=9).map(float),
     st.floats(
         min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
     ),
+    st.floats(
+        min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False
+    ),
+    st.just(math.inf),
 ).map(Lit)
 _vars = st.sampled_from([Var("x"), Var("a")])
 
@@ -136,10 +142,170 @@ def test_parse_format_fixpoint_on_source(x, a):
 
 
 def test_evaluate_array_matches_scalar():
-    import numpy as np
-
     expr = parse("a * (1 + 0.5 * x) - max(x, a)")
     xs = np.linspace(0, 2, 7)
     arr = exprlang.evaluate_array(expr, xs, np.full_like(xs, 0.3))
     for x, v in zip(xs, arr):
         assert v == pytest.approx(evaluate(expr, float(x), 0.3))
+
+
+# Reference: tree walkers that check every operation.  The compiled
+# evaluator must agree with them bit for bit, and raise EvalError wherever
+# they do.
+_REF_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs}
+_REF_ARRAY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
+
+
+def _ref_evaluate(expr, x, a):
+    value = _ref_eval(expr, x, a)
+    if not math.isfinite(value):
+        raise EvalError(f"non-finite result {value!r}")
+    return value
+
+
+def _ref_eval(expr, x, a):
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Var):
+        return x if expr.name == "x" else a
+    if isinstance(expr, Neg):
+        return -_ref_eval(expr.operand, x, a)
+    if isinstance(expr, BinOp):
+        left = _ref_eval(expr.left, x, a)
+        right = _ref_eval(expr.right, x, a)
+        if expr.op == "+":
+            result = left + right
+        elif expr.op == "-":
+            result = left - right
+        elif expr.op == "*":
+            result = left * right
+        elif expr.op == "/":
+            if right == 0.0:
+                raise EvalError("division by zero")
+            result = left / right
+        else:  # "^"
+            if left == 0.0 and right < 0.0:
+                raise EvalError("zero raised to a negative power")
+            try:
+                result = math.pow(left, right)
+            except (ValueError, OverflowError) as exc:
+                raise EvalError(f"pow({left}, {right}): {exc}") from None
+        if not math.isfinite(result):
+            raise EvalError(f"non-finite result in {expr.op!r}")
+        return result
+    args = [_ref_eval(arg, x, a) for arg in expr.args]
+    if expr.func == "min":
+        return min(args)
+    if expr.func == "max":
+        return max(args)
+    try:
+        return _REF_FUNCS[expr.func](args[0])
+    except (ValueError, OverflowError) as exc:
+        raise EvalError(f"{expr.func}({args[0]}): {exc}") from None
+
+
+def _ref_eval_array(expr, x, a):
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Var):
+        return x if expr.name == "x" else a
+    if isinstance(expr, Neg):
+        return -_ref_eval_array(expr.operand, x, a)
+    if isinstance(expr, BinOp):
+        left = _ref_eval_array(expr.left, x, a)
+        right = _ref_eval_array(expr.right, x, a)
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        if expr.op == "/":
+            return np.divide(left, right)
+        return np.power(left, right)
+    args = [_ref_eval_array(arg, x, a) for arg in expr.args]
+    if expr.func == "min":
+        return np.minimum(args[0], args[1])
+    if expr.func == "max":
+        return np.maximum(args[0], args[1])
+    return _REF_ARRAY_FUNCS[expr.func](args[0])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except EvalError:
+        return "EvalError"
+
+
+_inputs = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, -1.0]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_trees, _inputs, _inputs)
+def test_evaluate_matches_reference_walker(tree, x, a):
+    assert _outcome(evaluate, tree, x, a) == _outcome(_ref_evaluate, tree, x, a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_trees, st.lists(st.tuples(_inputs, _inputs), min_size=1, max_size=6))
+def test_evaluate_array_matches_reference_walker(tree, points):
+    xs = np.array([p[0] for p in points])
+    as_ = np.array([p[1] for p in points])
+    got = exprlang.evaluate_array(tree, xs, as_)
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(np.asarray(_ref_eval_array(tree, xs, as_), dtype=float), xs.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_evaluate_keeps_the_tree_grouping():
+    # Reassociating either of these changes the result.
+    assert evaluate(parse("x - (a - 1)"), 0.0, 1.0) == 0.0
+    assert evaluate(parse("x * (a * 1e-10)"), 1e308, 10.0) == pytest.approx(1e299)
+    with pytest.raises(EvalError):
+        evaluate(parse("x * a * 1e-10"), 1e308, 10.0)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "^".join(["x"] * 300),  # nested calls beyond the Python parser's limit
+        "min(" * 150 + "x" + ", a)" * 150,
+        "x - (" * 150 + "x" + ")" * 150,
+        " + ".join(["x * a"] * 600),
+        "-" * 500 + "x",
+    ],
+)
+def test_deep_trees_match_reference_walker(source):
+    tree = parse(source)
+    assert evaluate(tree, 0.5, 0.25) == _ref_evaluate(tree, 0.5, 0.25)
+    xs, as_ = np.array([0.5, 2.0, math.inf]), np.array([0.25, -1.0, 0.0])
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(_ref_eval_array(tree, xs, as_), xs.shape)
+    assert exprlang.evaluate_array(tree, xs, as_).tobytes() == want.tobytes()
+
+
+def test_evaluate_compiles_once_on_first_use():
+    tree = parse("a * (1 + 0.5 * x) - max(x, a) / 2")
+    assert "_scalar" not in vars(tree) and "_array" not in vars(tree)
+    compiled = (evaluate(tree, 0.5, 0.3), tree._scalar)
+    assert evaluate(tree, 0.5, 0.3) == compiled[0] and tree._scalar is compiled[1]
+    assert "_array" not in vars(tree)
+
+
+def test_trees_of_one_shape_share_compiled_code():
+    one, two = parse("2 * x + 1"), parse("3 * x + 5")
+    assert evaluate(one, 1.0, 0.0) == 3.0 and evaluate(two, 1.0, 0.0) == 8.0
+    assert one._scalar.__code__ is two._scalar.__code__
+    assert one._scalar.__code__ is not one._array.__code__
+
+
+def test_evaluated_tree_pickles():
+    tree = parse("a * x^2 - exp(-x) / 2")
+    value = evaluate(tree, 0.5, 0.3)
+    exprlang.evaluate_array(tree, [0.5], [0.3])
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree and evaluate(copy, 0.5, 0.3) == value

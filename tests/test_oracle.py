@@ -284,6 +284,38 @@ def test_simulate_flags_leaving_the_domain(benchmark_problem, fine_grid, benchma
     assert not simulate(problem, NetworkPoint(1, 0.0), field, horizon=25.0, dt=0.01).left_domain
 
 
+def test_simulate_evaluates_each_control_once_per_step(
+    monkeypatch, benchmark_problem, fine_grid, benchmark_solution
+):
+    # The greedy choice evaluates f and ell once per control, and the Euler
+    # step reuses the chosen control's pair; at the vertex both come from
+    # vertex_data, which evaluates every control of every edge once.
+    problem = make_random_problem(np.random.default_rng(20260810))
+    field, _ = jh.solve(problem, fine_grid)
+    evaluate = oracle.exprlang.evaluate
+    calls = []
+    monkeypatch.setattr(
+        oracle.exprlang, "evaluate", lambda *args: calls.append(args) or evaluate(*args)
+    )
+
+    def count(problem, x0, field, steps):
+        calls.clear()
+        traj = simulate(problem, x0, field, horizon=steps * 0.01, dt=0.01)
+        assert len(traj.times) == steps + 1
+        return len(calls)
+
+    setup = 2 * sum(len(spec.controls) for spec in problem.edges)
+    interior = 2 * len(problem.edge(2).controls)
+    counts = [count(problem, NetworkPoint(2, 2.0), field, steps) for steps in (1, 2, 3)]
+    assert counts == [setup + interior, setup + 2 * interior, setup + 3 * interior]
+
+    # entry-basic from the vertex on edge 1 switches into edge 2 at f = 1.
+    field, _ = benchmark_solution
+    traj = simulate(benchmark_problem, NetworkPoint(1, 0.0), field, horizon=0.01, dt=0.01)
+    assert traj.edges[-1] == 2 and traj.positions[-1] > 0
+    assert count(benchmark_problem, NetworkPoint(1, 0.0), field, 1) == 2 * 3 * 2
+
+
 def test_evaluate_cost_charges_each_reentry(benchmark_problem):
     # Out, back to the vertex, out again: two entry charges on edge 2.
     sched = ControlSchedule(

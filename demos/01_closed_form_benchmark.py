@@ -32,7 +32,7 @@ field, solve_report = jh.solve(problem, grid, tol=1e-9)
 print(
     f"solved in {solve_report.iterations} policy evaluations "
     f"(per grid, coarsest first: {solve_report.level_iterations}), "
-    f"max residual {solve_report.max_residual:.2e}"
+    f"final change {solve_report.final_change:.2e}"
 )
 print(f"edge limits at the vertex: u_1(O)={field.values[0][0]:.6f}, "
       f"u_2(O)={field.values[1][0]:.6f}")

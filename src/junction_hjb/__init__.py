@@ -11,14 +11,11 @@ cross-checks.
 
 from .exprlang import EvalError, ExprError, ExprSyntaxError, evaluate, format_expr, parse
 from .hamiltonian import (
-    EmptyPlusSetError,
     NoStationaryControlError,
     VertexData,
     hamiltonian,
-    hamiltonian_plus,
     tangential_hamiltonian,
     vertex_data,
-    zero_velocity_controls,
 )
 from .model import (
     AssumptionReport,
@@ -59,6 +56,7 @@ from .solver import (
     field_to_csv,
     field_to_json,
     policy,
+    problem_digest,
     residual,
     solve,
     sweep,

@@ -1,16 +1,23 @@
 """Command-line interface.
 
 Commands: validate, solve, oracle, simulate, residual, compare, example.
-Exit codes: 0 success, 1 I/O or parse errors (and field shape mismatches in
-compare), 2 validation violations or a comparison exceeding its bound,
-3 solver non-convergence.
+solve and oracle write field files in one format (solver.field_to_csv and
+solver.field_to_json); simulate, residual and compare read them back with
+the solver's readers.
+Exit codes: 0 success, 1 I/O or parse errors (and fields that do not fit
+the problem or share no node with each other, or that were solved for
+another problem), 2 validation violations or a comparison exceeding its
+bound, 3 solver non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import oracle as oracle_mod
 from . import presets, solver
@@ -45,7 +52,6 @@ def _grid(args) -> solver.GridParams:
 def _print_report(report: solver.SolveReport):
     print(f"iterations = {report.iterations}")
     print(f"final_change = {report.final_change:.9g}")
-    print(f"max_residual = {report.max_residual:.9g}")
     print(f"converged = {'true' if report.converged else 'false'}")
     print("levels = " + ", ".join(str(n) for n in report.level_iterations))
     if report.mixed_vertex_check is not None:
@@ -99,6 +105,16 @@ def _check_validated(problem) -> int | None:
     return None
 
 
+def _write_field(args, field, report, grid_line=True):
+    if args.out:
+        if args.format == "csv":
+            text = solver.field_to_csv(field, grid_line=grid_line)
+        else:
+            text = solver.field_to_json(field, report)
+        Path(args.out).write_text(text, encoding="utf-8")
+        print(f"wrote {args.out}")
+
+
 def cmd_solve(args) -> int:
     problem = load_problem(args.spec)
     bad = _check_validated(problem)
@@ -119,14 +135,7 @@ def cmd_solve(args) -> int:
         print(f"u_{e}(O) = {u[0]:.9g}")
     print(f"v(O) = {field.vertex_reconstruction:.9g}")
     _print_report(report)
-    if args.out:
-        text = (
-            solver.field_to_csv(field)
-            if args.format == "csv"
-            else solver.field_to_json(field, report)
-        )
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+    _write_field(args, field, report)
     return 0 if report.converged else 3
 
 
@@ -144,18 +153,40 @@ def cmd_oracle(args) -> int:
     print(f"iterations = {solution.iterations}")
     print(f"final_change = {solution.final_change:.9g}")
     print(f"converged = {'true' if solution.converged else 'false'}")
-    if args.out:
-        text = solution.to_csv() if args.format == "csv" else solution.to_json()
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+    # The MDP's vertex is a single state, so no edge has a limit at s = 0.
+    values = tuple(np.concatenate(([np.nan], u[1:])) for u in solution.values)
+    field = solver.ValueField(
+        values, grid, solution.vertex_value, solver.problem_digest(problem)
+    )
+    report = solver.SolveReport(
+        solution.iterations,
+        solution.final_change,
+        solution.converged,
+        level_iterations=(solution.iterations,),
+    )
+    # perfbench/run.py reads every line after the CSV header as a row of
+    # three fields, so the oracle CSV has no grid line until the benchmark
+    # is revised (ROADMAP item 7).
+    _write_field(args, field, report, grid_line=False)
     return 0 if solution.converged else 3
 
 
-def _load_field(path: str) -> solver.ValueField:
+def _load_field(path: str, problem=None) -> solver.ValueField:
+    """Read a field file; with problem given, reject a field that states it
+    was solved for another problem."""
     text = Path(path).read_text(encoding="utf-8")
     if path.endswith(".json"):
-        return solver.field_from_json(text)
-    return solver.field_from_csv(text)
+        field = solver.field_from_json(text)
+    else:
+        field = solver.field_from_csv(text)
+    if problem is not None and field.digest is not None:
+        digest = solver.problem_digest(problem)
+        if field.digest != digest:
+            raise ValueError(
+                f"{path} was solved for another problem "
+                f"(digest {field.digest}, this problem's is {digest})"
+            )
+    return field
 
 
 def cmd_simulate(args) -> int:
@@ -163,7 +194,7 @@ def cmd_simulate(args) -> int:
     bad = _check_validated(problem)
     if bad is not None:
         return bad
-    field = _load_field(args.field)
+    field = _load_field(args.field, problem)
     edge_text, _, s_text = args.x0.partition(",")
     x0 = NetworkPoint(int(edge_text), float(s_text))
     dt = args.dt if args.dt is not None else field.grid.h
@@ -189,7 +220,7 @@ def cmd_residual(args) -> int:
     bad = _check_validated(problem)
     if bad is not None:
         return bad
-    field = _load_field(args.field)
+    field = _load_field(args.field, problem)
     grid = field.grid
     if args.dt is not None:
         grid = solver.GridParams(h=grid.h, l_max=grid.l_max, dt=args.dt)
@@ -199,49 +230,38 @@ def cmd_residual(args) -> int:
     return 0
 
 
-def _field_table(path: str) -> dict[tuple[str, str], float]:
-    text = Path(path).read_text(encoding="utf-8")
-    table: dict[tuple[str, str], float] = {}
-    if path.endswith(".json"):
-        import json
-
-        obj = json.loads(text)
-        for item in obj["edges"]:
-            for s, value in zip(item["s"], item["values"]):
-                table[(str(item["edge"]), format(float(s), ".9g"))] = float(value)
-        vertex = obj.get("vertex_reconstruction", obj.get("vertex_value"))
-        if vertex is not None:
-            table[("0", "0")] = float(vertex)
-        return table
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != "edge,s,value":
-        raise ValueError(f"{path}: expected header 'edge,s,value'")
-    for line in lines[1:]:
-        if line.startswith("#"):
-            continue
-        edge_text, s_text, value_text = line.split(",")
-        value = float(value_text)
-        table[(edge_text, format(float(s_text), ".9g"))] = value
+def _nodes(field: solver.ValueField) -> dict[tuple[int, str], float]:
+    """The field's values keyed by (edge, s to 9 digits), NaN nodes left
+    out; edge 0 holds v(O)."""
+    s = [format(x, ".9g") for x in field.grid.nodes.tolist()]
+    table = {
+        (e, k): v
+        for e, u in enumerate(field.values, start=1)
+        for k, v in zip(s, u.tolist())
+        if not math.isnan(v)
+    }
+    if field.vertex_reconstruction is not None:
+        table[(0, "0")] = field.vertex_reconstruction
     return table
 
 
 def cmd_compare(args) -> int:
-    table_a = _field_table(args.field_a)
-    table_b = _field_table(args.field_b)
-    common = sorted(set(table_a) & set(table_b), key=lambda k: (int(k[0]), float(k[1])))
+    table_a = _nodes(_load_field(args.field_a))
+    table_b = _nodes(_load_field(args.field_b))
+    common = sorted(set(table_a) & set(table_b), key=lambda k: (k[0], float(k[1])))
     if not common:
         print("error: the fields share no nodes", file=sys.stderr)
         return 1
     only_a = len(table_a) - len(common)
     only_b = len(table_b) - len(common)
-    per_edge: dict[str, float] = {}
+    per_edge: dict[int, float] = {}
     sup = 0.0
     for edge, s in common:
         diff = abs(table_a[(edge, s)] - table_b[(edge, s)])
         sup = max(sup, diff)
         per_edge[edge] = max(per_edge.get(edge, 0.0), diff)
-    for edge in sorted(per_edge, key=int):
-        label = "vertex" if edge == "0" else f"edge {edge}"
+    for edge in sorted(per_edge):
+        label = "vertex" if edge == 0 else f"edge {edge}"
         print(f"max_diff[{label}] = {per_edge[edge]:.9g}")
     print(f"sup_diff = {sup:.9g}")
     print(f"common_nodes = {len(common)} (only_a = {only_a}, only_b = {only_b})")

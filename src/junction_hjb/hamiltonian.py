@@ -32,22 +32,15 @@ __all__ = [
     "ZERO_VELOCITY_TOL",
     "EdgeVertexData",
     "VertexData",
-    "EmptyPlusSetError",
     "NoStationaryControlError",
     "vertex_data",
     "hamiltonian",
-    "hamiltonian_plus",
-    "zero_velocity_controls",
     "tangential_hamiltonian",
 ]
 
 # Sampled controls count as stationary when |f(O, a)| is below this; the
 # interpolated pair points are exactly stationary by construction.
 ZERO_VELOCITY_TOL = 1e-12
-
-
-class EmptyPlusSetError(ValueError):
-    """No sampled or interpolated control with nonnegative velocity at O."""
 
 
 class NoStationaryControlError(ValueError):
@@ -158,32 +151,6 @@ def hamiltonian(problem: Problem, edge: int, x: float, p: float) -> float:
         if best is None or value > best:
             best = value
     return best
-
-
-def hamiltonian_plus(problem: Problem, edge: int, p: float) -> float:
-    """Restriction of H_i(O, .) to nonnegative velocities at the vertex.
-
-    The maximization runs over the nonnegative-velocity samples and the
-    interpolated zero-velocity hull points.  Raises EmptyPlusSetError when
-    that set is empty (every sampled velocity strictly negative).
-    """
-    data = _edge_vertex_data(problem, edge)
-    if not data.plus_pairs:
-        raise EmptyPlusSetError(
-            f"edge {edge}: no control with nonnegative velocity at O"
-        )
-    return max(-p * f - ell for f, ell in data.plus_pairs)
-
-
-def zero_velocity_controls(problem: Problem, edge: int) -> list[float]:
-    """Costs of all velocity-zero hull points at O on one edge.
-
-    Contains the cost of every sampled control whose velocity vanishes and,
-    for every pair of samples with opposite-sign velocities, the cost of
-    the convex combination that cancels the velocity.  May be empty; may
-    contain duplicates (one per generator).
-    """
-    return list(_edge_vertex_data(problem, edge).zero_costs)
 
 
 def tangential_hamiltonian(problem: Problem) -> float:

@@ -22,7 +22,6 @@ falls due each time the state reaches the vertex from inside an edge.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -264,39 +263,6 @@ class OracleSolution:
     iterations: int  # policy evaluations
     final_change: float  # sup change of one Bellman update of values
     converged: bool
-
-    def to_csv(self) -> str:
-        """Same schema as a ValueField export, but without per-edge s=0 rows
-        (the MDP has no per-edge vertex limits), plus the edge-0 vertex row."""
-        lines = ["edge,s,value"]
-        s = self.grid.nodes
-        for e, u in enumerate(self.values, start=1):
-            for k in range(1, u.size):
-                lines.append(
-                    f"{e},{format(s[k], '.9g')},{format(u[k], '.9g')}"
-                )
-        lines.append(f"0,0,{format(self.vertex_value, '.9g')}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        """JSON mirror of the CSV export with the iteration report attached;
-        floats are written by repr, so they read back exactly."""
-        g = self.grid
-        s = g.nodes[1:].tolist()
-        obj = {
-            "grid": {"h": float(g.h), "l_max": float(g.l_max), "dt": float(g.dt)},
-            "vertex_value": float(self.vertex_value),
-            "edges": [
-                {"edge": e, "s": s, "values": u[1:].tolist()}
-                for e, u in enumerate(self.values, start=1)
-            ],
-            "report": {
-                "iterations": self.iterations,
-                "final_change": float(self.final_change),
-                "converged": bool(self.converged),
-            },
-        }
-        return json.dumps(obj) + "\n"
 
 
 def _snapped_mdp(problem: Problem, grid: GridParams):
@@ -577,8 +543,9 @@ def simulate(
     Beyond the field's l_max the field is extended by a constant, so the
     rollout is not stopped there; Trajectory.left_domain records that it
     went past l_max.  Raises ValueError when the field does not have one
-    edge per edge of the problem, each with a value at every node of its
-    grid.
+    edge per edge of the problem, each with a value other than NaN at every
+    node of its grid (an oracle field has none at the per-edge vertex
+    limits).
     """
     if len(field.values) != problem.n_edges:
         raise ValueError(
@@ -590,6 +557,8 @@ def simulate(
                 f"field edge {label} has {u.size} nodes, its grid has "
                 f"{field.grid.n_intervals + 1}"
             )
+        if np.isnan(u).any():
+            raise ValueError(f"field edge {label} has NaN nodes (an oracle field?)")
     if h_snap is None:
         h_snap = field.grid.h / 2
     lam = problem.lam

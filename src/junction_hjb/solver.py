@@ -64,7 +64,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import VertexData, vertex_data
-from .model import Problem, _sample_edges
+from .model import Problem, _sample_edges, format_problem
 
 __all__ = [
     "GridParams",
@@ -78,6 +78,7 @@ __all__ = [
     "policy",
     "solve",
     "residual",
+    "problem_digest",
     "field_to_csv",
     "field_from_csv",
     "field_to_json",
@@ -113,18 +114,13 @@ class GridParams:
 
 @dataclass
 class ValueField:
-    """Per-edge node values; values[i][0] is edge i's limit at the vertex."""
+    """Per-edge node values; values[i][0] is edge i's limit at the vertex.
+    digest is the problem_digest of the problem the field was solved for."""
 
     values: tuple[np.ndarray, ...]
     grid: GridParams
     vertex_reconstruction: float | None = None
-
-    def copy(self) -> "ValueField":
-        return ValueField(
-            values=tuple(u.copy() for u in self.values),
-            grid=self.grid,
-            vertex_reconstruction=self.vertex_reconstruction,
-        )
+    digest: str | None = None
 
     def sup_distance(self, other: "ValueField") -> float:
         return max(
@@ -136,7 +132,6 @@ class ValueField:
 class SolveReport:
     iterations: int
     final_change: float
-    max_residual: float
     converged: bool
     # With some zero switching cost only: did the converged vertex limits
     # satisfy the shared-component inequality for the positive-cost edges?
@@ -503,7 +498,11 @@ def _reconstruct_vertex(field: ValueField, system: DiscreteSystem) -> float:
 
 
 def residual(field: ValueField, system: DiscreteSystem):
-    """|u - update(u)| per node and its max over all nodes."""
+    """|u - update(u)| per node and its max over all nodes.  Raises
+    ValueError for a field with NaN nodes, such as an oracle field, which
+    has no per-edge vertex limits."""
+    if any(np.isnan(u).any() for u in field.values):
+        raise ValueError("the field has NaN nodes (an oracle field?)")
     updated, _ = sweep(field, system)
     per_edge = tuple(
         np.abs(u - v) for u, v in zip(field.values, updated.values)
@@ -592,7 +591,6 @@ def _iterate(
     report = SolveReport(
         iterations=sum(counts),
         final_change=change,
-        max_residual=change,
         converged=change <= tol * (1.0 - system.beta),
         level_iterations=tuple(counts),
     )
@@ -624,6 +622,7 @@ def solve(
     """
     system = build_system(problem, grid)
     field, report = _iterate(system, tol, max_iters, init)
+    field.digest = problem_digest(problem)
     zero = problem.regime.zero_cost_edges
     if not zero:
         return field, report
@@ -645,106 +644,62 @@ def solve(
 # Field import/export
 # ---------------------------------------------------------------------------
 
-def _fmt_csv(x: float) -> str:
-    return format(float(x), ".9g")
+def problem_digest(problem: Problem) -> str:
+    """Short digest of the canonical problem text; field files carry it."""
+    # Imported here: loading OpenSSL would add about 4 ms to every import
+    # of the package, including CLI commands that write no field file.
+    import hashlib
+
+    return hashlib.sha256(format_problem(problem).encode()).hexdigest()[:16]
 
 
-def field_to_csv(field: ValueField) -> str:
-    """Rows edge,s,value (edge then s ascending), a row with edge 0 carrying
-    the vertex reconstruction, then a comment line with the exact grid."""
-    lines = ["edge,s,value"]
+# A field file holds one table: the grid, the problem digest, v(O) and the
+# node values of each edge.  A NaN node has no row, and every float is
+# written by repr, so CSV and JSON carry the same exact numbers.
+
+def _edge_rows(field: ValueField):
+    """(edge label, s, values) per edge as lists, NaN nodes left out."""
     s = field.grid.nodes
     for e, u in enumerate(field.values, start=1):
-        for k in range(u.size):
-            lines.append(f"{e},{_fmt_csv(s[k])},{_fmt_csv(u[k])}")
-    recon = field.vertex_reconstruction
-    lines.append(f"0,0,{_fmt_csv(recon)}" if recon is not None else "0,0,nan")
-    g = field.grid
-    lines.append(f"# grid h={g.h:.17g} l_max={g.l_max:.17g} dt={g.dt:.17g}")
+        keep = ~np.isnan(u)
+        yield e, s[keep].tolist(), u[keep].tolist()
+
+
+def field_to_csv(field: ValueField, *, grid_line: bool = True) -> str:
+    """Rows edge,s,value (edge then s ascending), a row with edge 0
+    carrying v(O) when there is one, then a comment line with the grid and
+    the problem digest (left out with grid_line=False)."""
+    lines = ["edge,s,value"]
+    for e, s, u in _edge_rows(field):
+        lines += [f"{e},{x!r},{y!r}" for x, y in zip(s, u)]
+    if field.vertex_reconstruction is not None:
+        lines.append(f"0,0,{float(field.vertex_reconstruction)!r}")
+    if grid_line:
+        g = field.grid
+        words = [f"h={float(g.h)!r}", f"l_max={float(g.l_max)!r}", f"dt={float(g.dt)!r}"]
+        if field.digest is not None:
+            words.append(f"problem={field.digest}")
+        lines.append("# grid " + " ".join(words))
     return "\n".join(lines) + "\n"
 
 
-def _parse_grid_line(line: str) -> GridParams:
-    """Read the '# grid h=... l_max=... dt=...' line of field_to_csv."""
-    words = line[1:].split()
-    if not words or words[0] != "grid":
-        raise ValueError(f"bad comment line {line!r}")
-    try:
-        values = {k: float(v) for k, v in (w.split("=", 1) for w in words[1:])}
-        return GridParams(h=values["h"], l_max=values["l_max"], dt=values["dt"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad grid line {line!r}: {exc}") from None
-
-
-def field_from_csv(text: str) -> ValueField:
-    """Inverse of field_to_csv.  Files without the grid line (written before
-    it existed) are read with dt = h."""
-    rows: dict[int, list[tuple[float, float]]] = {}
-    recon = None
-    stated = None
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != "edge,s,value":
-        raise ValueError("expected header 'edge,s,value'")
-    for line in lines[1:]:
-        if line.startswith("#"):
-            stated = _parse_grid_line(line)
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"bad field row {line!r}")
-        edge, s, value = int(parts[0]), float(parts[1]), float(parts[2])
-        if edge == 0:
-            recon = value if math.isfinite(value) else None
-        else:
-            rows.setdefault(edge, []).append((s, value))
-    if not rows:
-        raise ValueError("no edge rows in field file")
-    labels = sorted(rows)
-    if labels != list(range(1, len(labels) + 1)):
-        raise ValueError(f"edge labels must be 1..N, got {labels}")
-    values = []
-    grids = set()
-    for label in labels:
-        pairs = sorted(rows[label])
-        s = np.asarray([p[0] for p in pairs])
-        if len(s) < 2:
-            raise ValueError(f"edge {label}: need at least 2 nodes")
-        h = s[1] - s[0]
-        if not np.allclose(np.diff(s), h):
-            raise ValueError(f"edge {label}: nodes are not uniformly spaced")
-        grids.add((round(float(h), 12), round(float(s[-1]), 12), len(s)))
-        values.append(np.asarray([p[1] for p in pairs]))
-    if len(grids) != 1:
-        raise ValueError("edges carry inconsistent grids")
-    h, l_max, n_nodes = next(iter(grids))
-    if stated is None:
-        return ValueField(tuple(values), GridParams(h=h, l_max=l_max, dt=h), recon)
-    if n_nodes != stated.n_intervals + 1 or not math.isclose(
-        h, stated.h, rel_tol=1e-6
-    ):
-        raise ValueError("the rows do not match the file's grid line")
-    return ValueField(tuple(values), stated, recon)
-
-
 def field_to_json(field: ValueField, report: SolveReport | None = None) -> str:
-    """Deterministic JSON; floats are written by repr, so they read back
-    exactly."""
+    """The table of field_to_csv as deterministic JSON, with the report
+    attached when one is given."""
     g = field.grid
-    s = g.nodes.tolist()
     recon = field.vertex_reconstruction
     obj = {
         "grid": {"h": float(g.h), "l_max": float(g.l_max), "dt": float(g.dt)},
+        "problem": field.digest,
         "vertex_reconstruction": None if recon is None else float(recon),
         "edges": [
-            {"edge": e, "s": s, "values": u.tolist()}
-            for e, u in enumerate(field.values, start=1)
+            {"edge": e, "s": s, "values": u} for e, s, u in _edge_rows(field)
         ],
     }
     if report is not None:
         obj["report"] = {
             "iterations": report.iterations,
             "final_change": float(report.final_change),
-            "max_residual": float(report.max_residual),
             "converged": bool(report.converged),
             "mixed_vertex_check": report.mixed_vertex_check,
             "level_iterations": list(report.level_iterations),
@@ -752,14 +707,83 @@ def field_to_json(field: ValueField, report: SolveReport | None = None) -> str:
     return json.dumps(obj) + "\n"
 
 
+def _field_from_table(edges, grid, recon, digest) -> ValueField:
+    """The field of a parsed table.  edges maps each label to its (s,
+    values) arrays; grid is the file's stated grid, or None for a CSV file
+    without the grid line, whose grid is then read off edge 1's rows with
+    dt = h.  Every edge must hold its rows in ascending s at every node of
+    the grid, or at every node but s = 0, which then reads as NaN."""
+    labels = sorted(edges)
+    if not labels or labels != list(range(1, len(labels) + 1)):
+        raise ValueError(f"edge labels must be 1..N, got {labels}")
+    if grid is None:
+        s = edges[1][0]
+        if s.size < 2:
+            raise ValueError("edge 1: need at least 2 nodes")
+        h = round(float(s[1] - s[0]), 12)
+        grid = GridParams(h=h, l_max=round(float(s[-1]), 12), dt=h)
+    nodes = grid.nodes
+    values = []
+    for label in labels:
+        s, u = edges[label]
+        if s.size == u.size == nodes.size - 1:
+            s = np.concatenate(([0.0], s))
+            u = np.concatenate(([np.nan], u))
+        if not (s.size == u.size == nodes.size and np.allclose(s, nodes)):
+            raise ValueError(
+                f"edge {label}: {s.size} rows do not fit the grid's {nodes.size} nodes"
+            )
+        values.append(u)
+    return ValueField(tuple(values), grid, recon, digest)
+
+
+def _parse_grid_line(line: str) -> tuple[GridParams, str | None]:
+    """Read the '# grid h=... l_max=... dt=... [problem=...]' line."""
+    words = line[1:].split()
+    if not words or words[0] != "grid":
+        raise ValueError(f"bad comment line {line!r}")
+    try:
+        values = dict(w.split("=", 1) for w in words[1:])
+        grid = GridParams(
+            h=float(values["h"]), l_max=float(values["l_max"]), dt=float(values["dt"])
+        )
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"bad grid line {line!r}: {exc}") from None
+    return grid, values.get("problem")
+
+
+def field_from_csv(text: str) -> ValueField:
+    """Inverse of field_to_csv."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0].strip() != "edge,s,value":
+        raise ValueError("expected header 'edge,s,value'")
+    grid = digest = None
+    for line in lines[1:]:
+        if line.startswith("#"):
+            grid, digest = _parse_grid_line(line)
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    try:
+        edge, s, u = np.array(rows, dtype=float).reshape(len(rows), 3).T
+    except ValueError:
+        raise ValueError("field rows must be three numbers edge,s,value") from None
+    recon = u[edge == 0]
+    recon = float(recon[-1]) if recon.size and not np.isnan(recon[-1]) else None
+    edges = {e: (s[edge == e], u[edge == e]) for e in set(edge.tolist()) - {0.0}}
+    return _field_from_table(edges, grid, recon, digest)
+
+
 def field_from_json(text: str) -> ValueField:
+    """Inverse of field_to_json."""
     obj = json.loads(text)
-    grid = GridParams(
-        h=float(obj["grid"]["h"]),
-        l_max=float(obj["grid"]["l_max"]),
-        dt=float(obj["grid"]["dt"]),
+    g = obj["grid"]
+    grid = GridParams(h=float(g["h"]), l_max=float(g["l_max"]), dt=float(g["dt"]))
+    edges = {
+        item["edge"]: (
+            np.asarray(item["s"], dtype=float),
+            np.asarray(item["values"], dtype=float),
+        )
+        for item in obj["edges"]
+    }
+    return _field_from_table(
+        edges, grid, obj.get("vertex_reconstruction"), obj.get("problem")
     )
-    edges = sorted(obj["edges"], key=lambda item: item["edge"])
-    values = tuple(np.asarray(item["values"], dtype=float) for item in edges)
-    recon = obj.get("vertex_reconstruction")
-    return ValueField(values, grid, None if recon is None else float(recon))

@@ -1,3 +1,5 @@
+import pytest
+
 import junction_hjb as jh
 from junction_hjb.cli import main
 from junction_hjb.presets import builtin_spec
@@ -300,3 +302,70 @@ def test_oracle_honours_max_iters(tmp_path, capsys):
     assert main(["oracle", spec, "--dt", "0.03", "--max-iters", "1"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert "iterations = 1" in lines and "converged = false" in lines
+
+
+def test_compare_csv_and_json_of_one_field(tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    a_csv = tmp_path / "a.csv"
+    a_json = tmp_path / "a.json"
+    assert main(["solve", spec, "--out", str(a_csv)]) == 0
+    assert main(["solve", spec, "--out", str(a_json), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(a_csv), str(a_json), "--bound", "0"]) == 0
+    assert "sup_diff = 0" in capsys.readouterr().out.splitlines()
+
+
+def test_oracle_csv_reads_back_on_its_grid(tmp_path):
+    import numpy as np
+
+    spec = _write_spec(tmp_path)
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", spec, "--out", str(out)]) == 0
+    field = jh.field_from_csv(out.read_text(encoding="utf-8"))
+    assert field.grid.n_intervals + 1 == 401
+    for u in field.values:
+        assert u.shape == (401,)
+        assert np.isnan(u[0]) and not np.isnan(u[1:]).any()
+    assert field.vertex_reconstruction is not None
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["residual", "simulate"])
+def test_field_of_another_problem_exit_1(tmp_path, capsys, fmt, command):
+    spec = _write_spec(tmp_path)
+    field = tmp_path / f"field.{fmt}"
+    assert main(["solve", spec, "--out", str(field), "--format", fmt]) == 0
+    other = tmp_path / "expensive.spec"
+    other.write_text(builtin_spec("entry-expensive"), encoding="utf-8")
+    args = [command, str(other), "--field", str(field)]
+    if command == "simulate":
+        args += ["--x0", "1,1.0", "--horizon", "1"]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert "another problem" in capsys.readouterr().err
+    # A file that names no problem is still read.
+    text = field.read_text(encoding="utf-8")
+    digest = jh.problem_digest(jh.builtin_problem("entry-basic"))
+    if fmt == "csv":
+        text = text.replace(f" problem={digest}", "")
+    else:
+        text = text.replace(f'"problem": "{digest}"', '"problem": null')
+    assert digest not in text
+    field.write_text(text, encoding="utf-8")
+    assert main(args) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["residual", "simulate"])
+def test_oracle_field_has_no_vertex_limits_exit_1(tmp_path, capsys, fmt, command):
+    # An oracle file reads back with NaN at each edge's s = 0, which a
+    # rollout or a residual must not consume.
+    spec = _write_spec(tmp_path)
+    field = tmp_path / f"oracle.{fmt}"
+    assert main(["oracle", spec, "--out", str(field), "--format", fmt]) == 0
+    args = [command, spec, "--field", str(field)]
+    if command == "simulate":
+        args += ["--x0", "1,1.0", "--horizon", "1"]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert "NaN nodes" in capsys.readouterr().err

@@ -4,15 +4,26 @@ import pytest
 import junction_hjb as jh
 from junction_hjb import exprlang
 from junction_hjb.hamiltonian import (
-    EmptyPlusSetError,
     NoStationaryControlError,
     hamiltonian,
-    hamiltonian_plus,
     tangential_hamiltonian,
     vertex_data,
-    zero_velocity_controls,
 )
 from junction_hjb.model import parse_problem
+
+
+def _plus_pairs(problem, edge):
+    return vertex_data(problem).edge(edge).plus_pairs
+
+
+def hamiltonian_plus(problem, edge, p):
+    """H_i(O, p) restricted to the nonnegative-velocity pairs that the
+    solver's vertex update and simulate use."""
+    return max(-p * f - ell for f, ell in _plus_pairs(problem, edge))
+
+
+def _zero_costs(problem, edge):
+    return list(vertex_data(problem).edge(edge).zero_costs)
 
 
 def _two_edge(controls1, f1, ell1, controls2="-1, 0, 1", f2="a", ell2="1"):
@@ -45,6 +56,8 @@ def test_hamiltonian_singleton_control():
 
 def test_hamiltonian_plus_enumeration():
     p = _two_edge("-1, 0, 1", "a", "1")
+    # Samples a = 0 and a = 1, then the stationary (-1, 1) pair.
+    assert _plus_pairs(p, 1) == ((0.0, 1.0), (1.0, 1.0), (0.0, 1.0))
     assert hamiltonian_plus(p, 1, 3.0) == pytest.approx(-1.0)
     assert hamiltonian_plus(p, 1, -3.0) == pytest.approx(2.0)
 
@@ -58,20 +71,19 @@ def test_hamiltonian_plus_interpolated_point_dominated():
 
 def test_hamiltonian_plus_empty():
     p = _two_edge("-1, -0.5", "a", "1")
-    with pytest.raises(EmptyPlusSetError):
-        hamiltonian_plus(p, 1, 0.0)
+    assert _plus_pairs(p, 1) == ()
 
 
 def test_zero_velocity_controls_examples():
     p = _two_edge("-1, 0, 1", "a", "1")
-    costs = zero_velocity_controls(p, 1)
+    costs = _zero_costs(p, 1)
     assert costs.count(1.0) == 2  # sampled a=0 and the (-1, 1) pair
 
     p2 = _two_edge("-1, 1", "a", "1 - a")
-    assert zero_velocity_controls(p2, 1) == [pytest.approx(1.0)]
+    assert _zero_costs(p2, 1) == [pytest.approx(1.0)]
 
     p3 = _two_edge("0, 1", "1 + a", "1")
-    assert zero_velocity_controls(p3, 1) == []
+    assert _zero_costs(p3, 1) == []
 
 
 def test_tangential_hamiltonian_benchmark():

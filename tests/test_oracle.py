@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import junction_hjb as jh
 from conftest import make_random_problem
 from junction_hjb import oracle
+from junction_hjb.cli import main
 from junction_hjb.model import CostRegime, NetworkPoint, Problem, parse_problem
 from junction_hjb.oracle import (
     ControlSchedule,
@@ -108,12 +109,22 @@ def test_oracle_constant_running_cost_everywhere():
         assert np.abs(u - 1.0).max() <= 0.01
 
 
-def test_oracle_csv_omits_per_edge_vertex_rows(benchmark_problem):
-    sol = oracle_solve(benchmark_problem, GridParams(h=0.1, l_max=1.0, dt=0.1))
-    lines = sol.to_csv().strip().splitlines()
+def _cli_oracle_file(problem, tmp_path, fmt):
+    """Text of the file that `oracle --out` writes for problem at h = dt =
+    0.1, l_max = 1."""
+    spec = tmp_path / "problem.txt"
+    spec.write_text(jh.format_problem(problem), encoding="utf-8")
+    out = tmp_path / f"oracle.{fmt}"
+    args = ["oracle", str(spec), "--h", "0.1", "--lmax", "1", "--out", str(out)]
+    assert main(args + ["--format", fmt]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def test_oracle_csv_omits_per_edge_vertex_rows(benchmark_problem, tmp_path):
+    lines = _cli_oracle_file(benchmark_problem, tmp_path, "csv").strip().splitlines()
     assert lines[0] == "edge,s,value"
     body = [line.split(",") for line in lines[1:]]
-    assert all(row[1] != "0" for row in body if row[0] != "0")
+    assert all(float(row[1]) != 0.0 for row in body if row[0] != "0")
     assert body[-1][0] == "0"
 
 
@@ -333,12 +344,12 @@ def test_evaluate_cost_charges_each_reentry(benchmark_problem):
     assert entries[1].charged_cost == pytest.approx(0.5 * math.exp(-2.001), rel=1e-3)
 
 
-def test_oracle_json_export(benchmark_problem):
+def test_oracle_json_export(benchmark_problem, tmp_path):
     import json
 
     sol = oracle_solve(benchmark_problem, GridParams(h=0.1, l_max=1.0, dt=0.1))
-    obj = json.loads(sol.to_json())
-    assert obj["vertex_value"] == pytest.approx(sol.vertex_value)
+    obj = json.loads(_cli_oracle_file(benchmark_problem, tmp_path, "json"))
+    assert obj["vertex_reconstruction"] == sol.vertex_value
     assert len(obj["edges"][0]["values"]) == 10  # nodes 1..n only
     assert obj["report"]["converged"] is True
 

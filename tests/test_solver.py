@@ -26,6 +26,7 @@ from junction_hjb.solver import (
     field_to_csv,
     field_to_json,
     policy,
+    problem_digest,
     residual,
     solve,
     sweep,
@@ -313,18 +314,17 @@ def test_value_bound_enforced(benchmark_problem, fine_grid, benchmark_solution):
         assert np.abs(u).max() <= system.value_bound + 1e-6
 
 
-def test_csv_round_trip(benchmark_solution, fine_grid):
+def test_csv_round_trip(benchmark_problem, benchmark_solution, fine_grid):
     field, report = benchmark_solution
     text = field_to_csv(field)
     assert text.splitlines()[0] == "edge,s,value"
     assert text == field_to_csv(field)  # deterministic
     back = field_from_csv(text)
-    assert back.grid.h == pytest.approx(fine_grid.h)
+    assert back.grid == fine_grid
     for a, b in zip(field.values, back.values):
-        assert np.abs(a - b).max() <= 1e-8  # 9 significant digits
-    assert back.vertex_reconstruction == pytest.approx(
-        field.vertex_reconstruction, abs=1e-8
-    )
+        assert np.array_equal(a, b)  # repr floats round-trip exactly
+    assert back.vertex_reconstruction == field.vertex_reconstruction
+    assert back.digest == field.digest == problem_digest(benchmark_problem)
 
 
 @pytest.mark.parametrize("dt", [0.005, 0.02])
@@ -333,11 +333,8 @@ def test_csv_keeps_dt(benchmark_problem, dt):
     field, _ = solve(benchmark_problem, grid)
     back = field_from_csv(field_to_csv(field))
     assert back.grid == grid
-    _, res = residual(back, build_system(benchmark_problem, grid))
-    # Each value keeps 9 significant digits, so it moves by at most half a
-    # unit in the 9th digit and the residual by at most twice that.
-    top = max(float(np.abs(u).max()) for u in field.values)
-    assert res <= 1e-8 * 10 ** math.floor(math.log10(top))
+    system = build_system(benchmark_problem, grid)
+    assert residual(back, system)[1] == residual(field, system)[1]
 
 
 def test_csv_without_grid_line_reads_dt_as_h(benchmark_solution, fine_grid):
@@ -359,6 +356,24 @@ def test_json_round_trip_exact(benchmark_solution):
     for a, b in zip(field.values, back.values):
         assert (a == b).all()  # repr floats round-trip exactly
     assert back.vertex_reconstruction == field.vertex_reconstruction
+    assert back.digest == field.digest
+
+
+@pytest.mark.parametrize("edit", ["drop_last_node", "drop_one_value", "longer_grid"])
+def test_json_node_count_must_fit_grid(benchmark_solution, edit):
+    import json
+
+    obj = json.loads(field_to_json(benchmark_solution[0]))
+    edge = obj["edges"][1]
+    if edit == "drop_last_node":
+        edge["s"].pop()
+        edge["values"].pop()
+    elif edit == "drop_one_value":
+        edge["values"].pop()
+    else:
+        obj["grid"]["l_max"] = 5.0
+    with pytest.raises(ValueError, match="do not fit"):
+        field_from_json(json.dumps(obj))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -388,12 +403,8 @@ def test_field_files_round_trip(seed, n_edges, n, h, dt_ratio, with_vertex):
 
     back = field_from_csv(field_to_csv(field))
     assert back.grid == grid
-    for a, b in zip(back.values, values):
-        np.testing.assert_allclose(a, b, rtol=5e-9, atol=0.0)  # 9 significant digits
-    if vertex is None:
-        assert back.vertex_reconstruction is None
-    else:
-        assert back.vertex_reconstruction == pytest.approx(vertex, rel=5e-9, abs=0.0)
+    assert all(np.array_equal(a, b) for a, b in zip(back.values, values))
+    assert back.vertex_reconstruction == vertex
 
 
 def test_nonconvergence_reported_not_raised(benchmark_problem, fine_grid):

@@ -120,13 +120,6 @@ def cmd_solve(args) -> int:
     bad = _check_validated(problem)
     if bad is not None:
         return bad
-    has_zero = any(c == 0.0 for c in problem.regime.costs)
-    if args.force_strict and has_zero:
-        print(
-            "error: zero switching costs rejected under --force-strict",
-            file=sys.stderr,
-        )
-        return 2
     grid = _grid(args)
     field, report = solver.solve(
         problem, grid, tol=args.tol, max_iters=args.max_iters
@@ -153,11 +146,11 @@ def cmd_oracle(args) -> int:
     print(f"iterations = {solution.iterations}")
     print(f"final_change = {solution.final_change:.9g}")
     print(f"converged = {'true' if solution.converged else 'false'}")
-    # The MDP's vertex is a single state, so no edge has a limit at s = 0.
-    values = tuple(np.concatenate(([np.nan], u[1:])) for u in solution.values)
     field = solver.ValueField(
-        values, grid, solution.vertex_value, solver.problem_digest(problem)
+        solution.values, grid, solution.vertex_value, solver.problem_digest(problem)
     )
+    # The MDP's vertex is a single state, so no edge has a limit at s = 0.
+    field.values[:, 0] = np.nan
     report = solver.SolveReport(
         solution.iterations,
         solution.final_change,
@@ -301,12 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     _add_grid_flags(p)
     _add_common_flags(p)
-    p.add_argument(
-        "--force-strict",
-        action="store_true",
-        help="reject problems with zero switching costs instead of using "
-        "the shared-vertex formulation",
-    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(
@@ -358,3 +345,7 @@ def main(argv=None) -> int:
 
 def console_main():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

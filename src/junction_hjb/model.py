@@ -99,10 +99,6 @@ class NetworkPoint:
     def __setattr__(self, name, value):
         raise AttributeError("NetworkPoint is immutable")
 
-    @property
-    def is_vertex(self) -> bool:
-        return self.s == 0.0
-
     def __eq__(self, other):
         if not isinstance(other, NetworkPoint):
             return NotImplemented
@@ -155,11 +151,6 @@ class CostRegime:
     @classmethod
     def exit(cls, costs) -> "CostRegime":
         return cls("exit", tuple(float(c) for c in costs))
-
-    @property
-    def zero_cost_edges(self) -> tuple[int, ...]:
-        """1-based labels of edges whose switching cost is exactly zero."""
-        return tuple(i + 1 for i, c in enumerate(self.costs) if c == 0.0)
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,8 @@ class Trajectory:
     cost: float
     tail_bound: float
     schedule: ControlSchedule | None = None
-    # Some position lies beyond the field's l_max, where the field is only
-    # a constant extension and the greedy policy is not trustworthy.
+    # A step of the rollout would have gone beyond the field's l_max and
+    # was held there, as the scheme holds its feet.
     left_domain: bool = False
 
     @property
@@ -114,11 +114,14 @@ def _sup_bound(problem: Problem, s_max: float) -> float:
 
 class _Path:
     """A trajectory under integration: its state (edge, s, t), the
-    discounted cost so far with its switch charges, and its samples."""
+    discounted cost so far with its switch charges, and its samples.  Euler
+    steps that would pass l_max end at l_max, and clamped records that."""
 
-    def __init__(self, problem: Problem, x0: NetworkPoint):
+    def __init__(self, problem: Problem, x0: NetworkPoint, l_max: float = math.inf):
         self.problem = problem
         self.entry = problem.regime.kind == "entry"
+        self.l_max = l_max
+        self.clamped = False
         self.edge = x0.edge
         self.s = x0.s
         self.t = 0.0
@@ -151,7 +154,7 @@ class _Path:
         edge = self.edge
         spec = self.problem.edges[edge - 1]
         evaluate = exprlang.evaluate
-        lam, entry = self.problem.lam, self.entry
+        lam, entry, l_max = self.problem.lam, self.entry, self.l_max
         s, t, cost = self.s, self.t, self.cost
         for _ in range(steps):
             if first is None:
@@ -167,8 +170,12 @@ class _Path:
                 if s > 0.0 and not entry:
                     cost += self._charge("exit", t)
                 s_new = 0.0
-            elif s == 0.0 and entry:  # left the vertex
-                cost += self._charge("entry", t)
+            else:
+                if s == 0.0 and entry:  # left the vertex
+                    cost += self._charge("entry", t)
+                if s_new > l_max:
+                    s_new = l_max
+                    self.clamped = True
             s = s_new
             self.samples.append((t, edge, s, cost))
         self.s, self.t, self.cost = s, t, cost
@@ -177,11 +184,9 @@ class _Path:
         """Append the current state: after a move that is not an Euler step."""
         self.samples.append((self.t, self.edge, self.s, self.cost))
 
-    def trajectory(
-        self, schedule: ControlSchedule, l_max: float = math.inf
-    ) -> Trajectory:
+    def trajectory(self, schedule: ControlSchedule) -> Trajectory:
         """The samples so far, with the tail bound at the current time;
-        left_domain flags a position beyond l_max."""
+        left_domain flags a clamp at l_max."""
         problem = self.problem
         times, edges, positions, running = zip(*self.samples)
         s_max = max(positions)
@@ -198,7 +203,7 @@ class _Path:
             cost=self.cost,
             tail_bound=tail,
             schedule=schedule,
-            left_domain=s_max > l_max,
+            left_domain=self.clamped,
         )
 
 
@@ -540,25 +545,23 @@ def simulate(
     guaranteed optimal at the vertex, and is validated externally through
     cost dominance against the solved field.
 
-    Beyond the field's l_max the field is extended by a constant, so the
-    rollout is not stopped there; Trajectory.left_domain records that it
-    went past l_max.  Raises ValueError when the field does not have one
-    edge per edge of the problem, each with a value other than NaN at every
-    node of its grid (an oracle field has none at the per-edge vertex
-    limits).
+    The rollout simulates the truncated model the field was solved for:
+    like the scheme's feet, an Euler step that would pass the field's l_max
+    ends at l_max, and Trajectory.left_domain records that this happened.
+    The returned schedule then replays the untruncated model (in
+    evaluate_cost) only up to the first clamp.  Raises ValueError when the
+    field does not have one row per edge of the problem with a value other
+    than NaN at every node of its grid (an oracle field has none at the
+    per-edge vertex limits).
     """
-    if len(field.values) != problem.n_edges:
+    if field.values.shape != (problem.n_edges, field.grid.n_intervals + 1):
+        n_edges, n_nodes = field.values.shape
         raise ValueError(
-            f"field has {len(field.values)} edges, the problem has {problem.n_edges}"
+            f"field has {n_edges} edges of {n_nodes} nodes; the problem has "
+            f"{problem.n_edges} edges and the grid {field.grid.n_intervals + 1} nodes"
         )
-    for label, u in enumerate(field.values, start=1):
-        if u.shape != (field.grid.n_intervals + 1,):
-            raise ValueError(
-                f"field edge {label} has {u.size} nodes, its grid has "
-                f"{field.grid.n_intervals + 1}"
-            )
-        if np.isnan(u).any():
-            raise ValueError(f"field edge {label} has NaN nodes (an oracle field?)")
+    if np.isnan(field.values).any():
+        raise ValueError("the field has NaN nodes (an oracle field?)")
     if h_snap is None:
         h_snap = field.grid.h / 2
     lam = problem.lam
@@ -568,7 +571,7 @@ def simulate(
     entry = problem.regime.kind == "entry"
     costs = problem.regime.costs
 
-    path = _Path(problem, x0)
+    path = _Path(problem, x0, field.grid.l_max)
     segments: list[SchedulePiece] = []
 
     def record(piece_edge: int, control: float, duration: float):
@@ -663,9 +666,7 @@ def simulate(
         record(path.edge, a, dt)
         path.advance(a, dt, first=first)
 
-    return path.trajectory(
-        ControlSchedule(tuple(segments)), l_max=field.grid.l_max
-    )
+    return path.trajectory(ControlSchedule(tuple(segments)))
 
 
 def _stall_generator(problem: Problem, vdata) -> tuple[int, tuple[int, ...]]:

@@ -36,6 +36,12 @@ agree, which is the continuous shared component of the mixed regime, and
 with all costs zero the update collapses to the classical junction
 condition min(stall, min_j B3_j).
 
+A field is one (N, n+1) array, row i for edge i+1.  The system stacks its
+data alike: the interior data as (N, n+1, K) arrays over K controls (short
+control lists padded with an infinite stage cost), every edge's vertex
+pairs in one flat list, and the vertex branches in one (N, branches)
+table, so a sweep is a few array expressions with no loop over edges.
+
 The update is a min over a finite set of actions (a control per node, a
 branch per vertex limit) of affine beta-contractions, so solve() reaches
 its fixed point by Howard's policy iteration in finitely many steps:
@@ -114,18 +120,23 @@ class GridParams:
 
 @dataclass
 class ValueField:
-    """Per-edge node values; values[i][0] is edge i's limit at the vertex.
-    digest is the problem_digest of the problem the field was solved for."""
+    """Node values as one (N, n+1) array: values[i] holds edge i+1's nodes,
+    values[i, 0] its limit at the vertex.  Any sequence of N equal-length
+    rows is accepted and stacked.  digest is the problem_digest of the
+    problem the field was solved for."""
 
-    values: tuple[np.ndarray, ...]
+    values: np.ndarray
     grid: GridParams
     vertex_reconstruction: float | None = None
     digest: str | None = None
 
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 2:
+            raise ValueError("field values must be N rows of equal length")
+
     def sup_distance(self, other: "ValueField") -> float:
-        return max(
-            float(np.abs(u - v).max()) for u, v in zip(self.values, other.values)
-        )
+        return float(np.abs(self.values - other.values).max())
 
 
 @dataclass(frozen=True)
@@ -164,61 +175,66 @@ class DiscreteSystem:
         self.beta = math.exp(-problem.lam * grid.dt)
         self.vertex = vertex
         self.stall_value = -self.vertex.tangential / problem.lam
+        self.n_nodes = grid.n_intervals + 1
+        n_edges = problem.n_edges
 
-        n = grid.n_intervals
         s = grid.nodes
-        self.n_nodes = n + 1
-        self.foot_lo: list[np.ndarray] = []
-        self.foot_w: list[np.ndarray] = []
-        self.stage: list[np.ndarray] = []
-        self.vertex_lo: list[np.ndarray] = []
-        self.vertex_w: list[np.ndarray] = []
-        self.vertex_stage: list[np.ndarray] = []
-
         sampled, sup = _sample_edges(problem, s)
-        for label, (f, ell) in enumerate(sampled, start=1):
-            lo, w = self._foot_weights(s[:, None] + grid.dt * f)
-            self.foot_lo.append(lo)
-            self.foot_w.append(w)
-            self.stage.append(grid.dt * ell)
-
-            pairs = self.vertex.edge(label).plus_pairs
-            v = np.asarray([p[0] for p in pairs])
-            pell = np.asarray([p[1] for p in pairs])
-            vlo, vw = self._foot_weights(grid.dt * v)
-            self.vertex_lo.append(vlo)
-            self.vertex_w.append(vw)
-            self.vertex_stage.append(grid.dt * pell)
-
+        if grid.dt * sup > grid.l_max / 4:
+            raise ValueError(f"dt too large: dt * bound = {grid.dt * sup:g} exceeds l_max/4")
         self.sup_bound = sup
-        max_speed = grid.dt * sup
-        if max_speed > grid.l_max / 4:
-            raise ValueError(
-                f"dt too large: dt * bound = {max_speed:g} exceeds l_max/4"
-            )
         self.value_bound = sup / problem.lam + float(sum(problem.regime.costs))
 
-        # Vertex branches of edge e as (target edge, pair index), in the
-        # order ties resolve toward: switch to each other edge j, park at
-        # the vertex (target -1), continue into edge e.  vertex_const[e]
-        # holds each branch's switch cost, the parking value, or 0.
-        costs = problem.regime.costs
-        entry = problem.regime.kind == "entry"
-        self.vertex_branches: list[list[tuple[int, int]]] = []
-        self.vertex_const: list[np.ndarray] = []
-        for e in range(problem.n_edges):
-            branches, const = [], []
-            for j in range(problem.n_edges):
-                if j != e:
-                    n_pairs = self.vertex_stage[j].size
-                    branches += [(j, q) for q in range(n_pairs)]
-                    const += [costs[j] if entry else costs[e]] * n_pairs
-            park = self.stall_value if entry else costs[e] + self.stall_value
-            n_pairs = self.vertex_stage[e].size
-            branches += [(-1, 0)] + [(e, q) for q in range(n_pairs)]
-            const += [park] + [0.0] * n_pairs
-            self.vertex_branches.append(branches)
-            self.vertex_const.append(np.asarray(const))
+        # Interior data as (N, n+1, K) arrays for K = the most controls of
+        # any edge; an edge with fewer has its rows padded with an infinite
+        # stage cost, so no minimum picks the padding.
+        counts = [f.shape[1] for f, _ in sampled]
+        f = np.zeros((n_edges, self.n_nodes, max(counts)))
+        ell = np.full(f.shape, np.inf)
+        for e, (f_e, ell_e) in enumerate(sampled):
+            f[e, :, : counts[e]] = f_e
+            ell[e, :, : counts[e]] = ell_e
+        self.interior_lo, self.interior_w = self._foot_weights(s[:, None] + grid.dt * f)
+        self.interior_stage = grid.dt * ell
+        # The same lower nodes as indices into field.values.ravel().
+        offsets = self.n_nodes * np.arange(n_edges)
+        self.interior_at = self.interior_lo + offsets[:, None, None]
+
+        # Vertex data: every edge's (v >= 0, ell) pairs in one flat list,
+        # edge by edge, with the edge index of each pair.
+        pairs = [(e, *pair) for e, d in enumerate(vertex.edges) for pair in d.plus_pairs]
+        edge, v, pell = np.array(pairs, dtype=float).reshape(-1, 3).T
+        self.pair_edge = edge.astype(int)
+        self.pair_lo, self.pair_w = self._foot_weights(grid.dt * v)
+        self.pair_stage = grid.dt * pell
+        self.pair_at = self.pair_lo + offsets[self.pair_edge]
+
+        # Vertex branches of edge e: branch_pair[e] lists pair indices, and
+        # len(pairs) for parking, in the order ties resolve toward: switch
+        # to each other edge j, park at the vertex, continue into edge e.
+        # branch_const[e] holds each branch's switch cost, the parking
+        # value, or 0.
+        target = np.append(self.pair_edge, -1)
+        own = target == np.arange(n_edges)[:, None]
+        costs = np.asarray(problem.regime.costs, dtype=float)
+        if problem.regime.kind == "entry":
+            switch, park = np.append(costs[self.pair_edge], 0.0), self.stall_value
+        else:
+            switch, park = costs[:, None], costs[:, None] + self.stall_value
+        const = np.where(target < 0, park, np.where(own, 0.0, switch))
+        self.branch_pair = np.argsort(2 * own + (target < 0), axis=1, kind="stable")
+        self.branch_const = np.take_along_axis(const, self.branch_pair, axis=1)
+
+        # Per-edge views, unused here; kept, as workers is, because
+        # perfbench/run.py --trace 1 concatenates them to count sweep bytes.
+        self.foot_lo, self.foot_w, self.stage = (
+            [a[e, :, :k] for e, k in enumerate(counts)]
+            for a in (self.interior_lo, self.interior_w, self.interior_stage)
+        )
+        cut = np.searchsorted(self.pair_edge, np.arange(1, n_edges))
+        self.vertex_lo, self.vertex_w, self.vertex_stage = (
+            np.split(a, cut) for a in (self.pair_lo, self.pair_w, self.pair_stage)
+        )
 
     def _foot_weights(self, feet: np.ndarray):
         """Clip feet to the grid and split into (lower index, upper weight)."""
@@ -230,11 +246,9 @@ class DiscreteSystem:
         return lo, w
 
     def check_field(self, field: ValueField):
-        if len(field.values) != self.problem.n_edges:
-            raise ValueError("field edge count does not match the system")
-        for u in field.values:
-            if u.shape != (self.n_nodes,):
-                raise ValueError("field node count does not match the system")
+        shape = (self.problem.n_edges, self.n_nodes)
+        if field.values.shape != shape:
+            raise ValueError(f"field shape {field.values.shape} is not the system's {shape}")
 
     def default_max_iters(self, tol: float) -> int:
         """Sweeps value iteration would need from the a-priori bound; a
@@ -250,40 +264,25 @@ def build_system(problem: Problem, grid: GridParams) -> DiscreteSystem:
 
 def constant_field(system: DiscreteSystem, value: float) -> ValueField:
     return ValueField(
-        values=tuple(
-            np.full(system.n_nodes, float(value)) for _ in range(system.problem.n_edges)
-        ),
-        grid=system.grid,
+        np.full((system.problem.n_edges, system.n_nodes), float(value)), system.grid
     )
 
 
 def _candidates(field: ValueField, system: DiscreteSystem):
-    """Right-hand side of the update for every action: per edge, an
-    (n_nodes, n_controls) array for the interior and one value per entry of
-    system.vertex_branches[e] for the vertex limit."""
+    """Right-hand side of the update for every action: an (N, n_nodes, K)
+    array for the interior and an (N, branches) array, in the order of
+    system.branch_pair, for the vertex limits."""
     system.check_field(field)
-    n_edges = system.problem.n_edges
-    u = field.values
+    u = field.values.ravel()
 
-    def one_step(values, lo, w, stage):
-        return stage + system.beta * (values[lo] * (1.0 - w) + values[lo + 1] * w)
+    def one_step(at, w, stage):
+        return stage + system.beta * (u[at] * (1.0 - w) + u[at + 1] * w)
 
-    interiors = [
-        one_step(u[e], system.foot_lo[e], system.foot_w[e], system.stage[e])
-        for e in range(n_edges)
-    ]
-    # One-step values of moving from the vertex into each edge, per pair.
-    steps = [
-        one_step(u[j], system.vertex_lo[j], system.vertex_w[j], system.vertex_stage[j])
-        for j in range(n_edges)
-    ]
-
-    park = np.zeros(1)
-    vertex = []
-    for e in range(n_edges):
-        pieces = [steps[j] for j in range(n_edges) if j != e] + [park, steps[e]]
-        vertex.append(system.vertex_const[e] + np.concatenate(pieces))
-    return interiors, vertex
+    interior = one_step(system.interior_at, system.interior_w, system.interior_stage)
+    # One-step values of leaving the vertex along each pair, then parking.
+    steps = one_step(system.pair_at, system.pair_w, system.pair_stage)
+    vertex = system.branch_const + np.append(steps, 0.0)[system.branch_pair]
+    return interior, vertex
 
 
 def sweep(field: ValueField, system: DiscreteSystem) -> tuple[ValueField, float]:
@@ -292,29 +291,24 @@ def sweep(field: ValueField, system: DiscreteSystem) -> tuple[ValueField, float]
     return _minimize(field, system, *_candidates(field, system))
 
 
-def _minimize(field, system, interiors, vertex) -> tuple[ValueField, float]:
+def _minimize(field, system, interior, vertex) -> tuple[ValueField, float]:
     """sweep() from the candidates of field."""
-    new_values = []
-    change = 0.0
-    for u, interior, branches in zip(field.values, interiors, vertex):
-        new_u = interior.min(axis=1)
-        new_u[0] = branches.min()
-        change = max(change, float(np.abs(new_u - u).max()))
-        new_values.append(new_u)
-    return ValueField(tuple(new_values), system.grid, None), change
+    new = interior.min(axis=-1)
+    new[:, 0] = vertex.min(axis=-1)
+    return ValueField(new, system.grid), float(np.abs(new - field.values).max())
 
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """One action per node: controls[e][k] indexes edge e's controls at node
-    k (unused at k = 0), vertex[e] indexes system.vertex_branches[e]."""
+    """One action per node: controls[e, k] indexes edge e's controls at
+    node k (unused at k = 0), vertex[e] indexes system.branch_pair[e]."""
 
-    controls: tuple[np.ndarray, ...]
-    vertex: tuple[int, ...]
+    controls: np.ndarray
+    vertex: np.ndarray
 
     def same_as(self, other: "Policy") -> bool:
-        return self.vertex == other.vertex and all(
-            np.array_equal(a, b) for a, b in zip(self.controls, other.controls)
+        return np.array_equal(self.vertex, other.vertex) and np.array_equal(
+            self.controls, other.controls
         )
 
 
@@ -339,17 +333,11 @@ def policy(
     return _greedy(*_candidates(field, system), current)
 
 
-def _greedy(interiors, vertex, current: Policy | None) -> Policy:
+def _greedy(interior, vertex, current: Policy | None) -> Policy:
     """policy() from the candidates of a field."""
-    controls = tuple(
-        _argmin(c, None if current is None else current.controls[e])
-        for e, c in enumerate(interiors)
-    )
-    branches = tuple(
-        int(_argmin(c, None if current is None else np.asarray(current.vertex[e])))
-        for e, c in enumerate(vertex)
-    )
-    return Policy(controls, branches)
+    if current is None:
+        return Policy(_argmin(interior, None), _argmin(vertex, None))
+    return Policy(_argmin(interior, current.controls), _argmin(vertex, current.vertex))
 
 
 def _banded_solve(band: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
@@ -441,13 +429,16 @@ def _evaluate(pol: Policy, system: DiscreteSystem) -> ValueField:
     is u[1:] = y + z * u[0] for two right-hand sides y and z.  The chosen
     vertex branches then give an N x N system for the vertex limits.
     """
-    n = system.n_nodes - 1
-    n_edges = system.problem.n_edges
+    n_edges, n_nodes, n_controls = system.interior_lo.shape
+    n = n_nodes - 1
     beta = system.beta
     k = np.arange(1, n + 1)
-    lo = np.stack([system.foot_lo[e][k, pol.controls[e][1:]] for e in range(n_edges)])
-    w = np.stack([system.foot_w[e][k, pol.controls[e][1:]] for e in range(n_edges)])
-    stage = np.stack([system.stage[e][k, pol.controls[e][1:]] for e in range(n_edges)])
+    # Node k's chosen control as an index into the ravelled interior arrays.
+    chosen = (n_nodes * np.arange(n_edges)[:, None] + k) * n_controls + pol.controls[:, 1:]
+    lo, w, stage = (
+        a.ravel()[chosen]
+        for a in (system.interior_lo, system.interior_w, system.interior_stage)
+    )
 
     # Row k reads node lo with weight beta*(1-w) and node lo+1 with beta*w;
     # node m > 0 is unknown m-1 of the edge's system.
@@ -468,46 +459,41 @@ def _evaluate(pol: Policy, system: DiscreteSystem) -> ValueField:
     y = np.concatenate((np.zeros((n_edges, 1)), solution[..., 0]), axis=1)
     z = np.concatenate((np.ones((n_edges, 1)), solution[..., 1]), axis=1)
 
+    # Vertex rows: the chosen branch of each edge in movers moves along a
+    # pair into edge target and reads its nodes vlo and vlo + 1; parking
+    # reads none.
+    all_edges = np.arange(n_edges)
+    pair = system.branch_pair[all_edges, pol.vertex]
+    const = system.branch_const[all_edges, pol.vertex]
+    movers = all_edges[pair < system.pair_edge.size]
+    pair = pair[movers]
+    target = system.pair_edge[pair]
+    vlo, vw = system.pair_lo[pair], system.pair_w[pair]
     matrix = np.eye(n_edges)
-    const = np.zeros(n_edges)
-    for e in range(n_edges):
-        index = pol.vertex[e]
-        target, pair = system.vertex_branches[e][index]
-        const[e] = system.vertex_const[e][index]
-        if target < 0:
-            continue
-        const[e] += system.vertex_stage[target][pair]
-        vlo = int(system.vertex_lo[target][pair])
-        vw = float(system.vertex_w[target][pair])
-        for m, weight in ((vlo, beta * (1.0 - vw)), (vlo + 1, beta * vw)):
-            const[e] += weight * y[target, m]
-            matrix[e, target] -= weight * z[target, m]
+    const[movers] += system.pair_stage[pair]
+    for m, weight in ((vlo, beta * (1.0 - vw)), (vlo + 1, beta * vw)):
+        const[movers] += weight * y[target, m]
+        matrix[movers, target] -= weight * z[target, m]
     limits = np.linalg.solve(matrix, const)
-    values = tuple(y[e] + z[e] * limits[e] for e in range(n_edges))
-    return ValueField(values, system.grid, None)
+    return ValueField(y + z * limits[:, None], system.grid)
 
 
 def _reconstruct_vertex(field: ValueField, system: DiscreteSystem) -> float:
-    limits = [float(u[0]) for u in field.values]
-    costs = system.problem.regime.costs
+    limits = field.values[:, 0]
     if system.problem.regime.kind == "entry":
-        best = min(v + c for v, c in zip(limits, costs))
-    else:
-        best = min(limits)
-    return min(best, system.stall_value)
+        limits = limits + np.asarray(system.problem.regime.costs)
+    return min(float(limits.min()), system.stall_value)
 
 
 def residual(field: ValueField, system: DiscreteSystem):
-    """|u - update(u)| per node and its max over all nodes.  Raises
-    ValueError for a field with NaN nodes, such as an oracle field, which
-    has no per-edge vertex limits."""
-    if any(np.isnan(u).any() for u in field.values):
+    """|u - update(u)| per node, as an (N, n+1) array, and its max over all
+    nodes.  Raises ValueError for a field with NaN nodes, such as an oracle
+    field, which has no per-edge vertex limits."""
+    if np.isnan(field.values).any():
         raise ValueError("the field has NaN nodes (an oracle field?)")
     updated, _ = sweep(field, system)
-    per_edge = tuple(
-        np.abs(u - v) for u, v in zip(field.values, updated.values)
-    )
-    return per_edge, max(float(r.max()) for r in per_edge)
+    per_node = np.abs(field.values - updated.values)
+    return per_node, float(per_node.max())
 
 
 def _ladder(system: DiscreteSystem) -> list[DiscreteSystem]:
@@ -539,9 +525,7 @@ def _iterate(
     else:
         system.check_field(init)
         stride = system.grid.n_intervals // coarsest.grid.n_intervals
-        field = ValueField(
-            tuple(u[::stride].copy() for u in init.values), coarsest.grid
-        )
+        field = ValueField(init.values[:, ::stride].copy(), coarsest.grid)
 
     # Howard's policy iteration on each level.  A finer level starts from
     # the greedy policy of one sweep of the coarser field interpolated onto
@@ -555,11 +539,8 @@ def _iterate(
     for level in levels:
         change = None
         if level is not coarsest:
-            nodes = level.grid.nodes
-            field = ValueField(
-                tuple(np.interp(nodes, field.grid.nodes, u) for u in field.values),
-                level.grid,
-            )
+            old, nodes = field.grid.nodes, level.grid.nodes
+            field = ValueField([np.interp(nodes, old, u) for u in field.values], level.grid)
             if budget > 0:
                 field, _ = sweep(field, level)
         count = 0
@@ -584,9 +565,8 @@ def _iterate(
         _, change = residual(field, system)
 
     bound = system.value_bound + 10 * tol
-    for u in field.values:
-        if not np.isfinite(u).all() or float(np.abs(u).max()) > bound:
-            raise RuntimeError("converged field violates the a-priori value bound")
+    if not np.isfinite(field.values).all() or float(np.abs(field.values).max()) > bound:
+        raise RuntimeError("converged field violates the a-priori value bound")
 
     report = SolveReport(
         iterations=sum(counts),
@@ -623,21 +603,17 @@ def solve(
     system = build_system(problem, grid)
     field, report = _iterate(system, tol, max_iters, init)
     field.digest = problem_digest(problem)
-    zero = problem.regime.zero_cost_edges
-    if not zero:
+    zero = np.asarray(problem.regime.costs) == 0.0
+    if not zero.any():
         return field, report
-    shared = max(float(field.values[i - 1][0]) for i in zero)
+    limits = field.values[:, 0]
+    shared = limits[zero].max()
     slack = 10 * tol
-    limits = [
-        float(field.values[label - 1][0])
-        for label in problem.junction.edge_labels
-        if label not in zero
-    ]
     if problem.regime.kind == "entry":
-        ok = all(shared >= limit - slack for limit in limits)
+        ok = (shared >= limits[~zero] - slack).all()
     else:
-        ok = all(shared <= limit + slack for limit in limits)
-    return field, replace(report, mixed_vertex_check=ok)
+        ok = (shared <= limits[~zero] + slack).all()
+    return field, replace(report, mixed_vertex_check=bool(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +710,7 @@ def _field_from_table(edges, grid, recon, digest) -> ValueField:
                 f"edge {label}: {s.size} rows do not fit the grid's {nodes.size} nodes"
             )
         values.append(u)
-    return ValueField(tuple(values), grid, recon, digest)
+    return ValueField(values, grid, recon, digest)
 
 
 def _parse_grid_line(line: str) -> tuple[GridParams, str | None]:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import junction_hjb as jh
@@ -34,6 +39,18 @@ def test_example_golden_file(tmp_path, capsys):
 def test_example_to_stdout(capsys):
     assert main(["example", "entry-basic"]) == 0
     assert capsys.readouterr().out == GOLDEN_ENTRY_BASIC
+
+
+def test_module_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "junction_hjb.cli", "example", "entry-basic"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == GOLDEN_ENTRY_BASIC
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -94,11 +111,6 @@ def test_solve_all_zero_costs_equal_vertex_values(tmp_path, capsys):
     u1 = float(next(l for l in lines if l.startswith("u_1(O)")).split("=")[1])
     u2 = float(next(l for l in lines if l.startswith("u_2(O)")).split("=")[1])
     assert abs(u1 - u2) <= 2e-9
-
-
-def test_solve_force_strict_rejects_zero_costs(tmp_path, capsys):
-    spec = _write_spec(tmp_path, "entry-mixed")
-    assert main(["solve", spec, "--force-strict"]) == 2
 
 
 def test_solve_nonconvergence_exit_3(tmp_path, capsys):

@@ -279,19 +279,27 @@ def test_simulate_rejects_mismatched_field(benchmark_problem, benchmark_solution
 
 def test_simulate_flags_leaving_the_domain(benchmark_problem, fine_grid, benchmark_solution):
     field, _ = benchmark_solution
-    # Down edge 1 to the vertex, then up edge 2 at unit speed: s = 19 at t = 20.
+    l_max = fine_grid.l_max
+    # Down edge 1 to the vertex, then up edge 2 at unit speed: held at
+    # s = l_max from t = 5 on.
     far = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=20.0, dt=0.01)
-    assert far.positions.max() > fine_grid.l_max and far.left_domain
+    assert far.positions.max() == l_max and far.left_domain
     near = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=2.0, dt=0.01)
-    assert near.positions.max() <= fine_grid.l_max and not near.left_domain
+    assert near.positions.max() <= l_max and not near.left_domain
 
-    # The acceptance seed's random problem 0: from the vertex on edge 3 the
-    # greedy policy runs off to s ~ 1e13, from the vertex on edge 1 it stays.
+    # The acceptance seed's random problem 0: on edge 3 the greedy policy
+    # runs outward (unclamped it reached s ~ 1e13 and costs ~ 1e16); on the
+    # truncated model it realizes the field value.  From the vertex on edge
+    # 1 it stays.
     from conftest import make_random_problem
 
     problem = make_random_problem(np.random.default_rng(20260810))
     field, _ = jh.solve(problem, fine_grid)
-    assert simulate(problem, NetworkPoint(3, 0.0), field, horizon=25.0, dt=0.01).left_domain
+    for s in (0.0, 1.0):
+        traj = simulate(problem, NetworkPoint(3, s), field, horizon=25.0, dt=0.01)
+        assert traj.left_domain and traj.positions.max() <= l_max
+    value = float(np.interp(1.0, fine_grid.nodes, field.values[2]))
+    assert abs(traj.cost - value) <= fine_grid.h
     assert not simulate(problem, NetworkPoint(1, 0.0), field, horizon=25.0, dt=0.01).left_domain
 
 

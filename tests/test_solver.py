@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import junction_hjb as jh
-from conftest import make_random_problem
-from junction_hjb.model import CostRegime, Problem, parse_problem
+from conftest import fnum, make_random_problem
+from junction_hjb.hamiltonian import vertex_data
+from junction_hjb.model import CostRegime, Problem, _sample_edges, parse_problem
 from junction_hjb.solver import (
     GridParams,
     ValueField,
@@ -405,6 +406,138 @@ def test_field_files_round_trip(seed, n_edges, n, h, dt_ratio, with_vertex):
     assert back.grid == grid
     assert all(np.array_equal(a, b) for a, b in zip(back.values, values))
     assert back.vertex_reconstruction == vertex
+
+
+def test_value_field_rows_must_have_equal_length(fine_grid):
+    with pytest.raises(ValueError):
+        ValueField((np.zeros(401), np.zeros(400)), fine_grid)
+    field = ValueField((np.zeros(401), np.ones(401)), fine_grid)
+    assert field.values.shape == (2, 401)
+
+
+# The per-edge operator that the stacked arrays replaced, kept as a
+# reference: per-edge feet, weights and stage costs, and per edge a list of
+# vertex branches (switch to each other edge j, park, continue into the own
+# edge) with their constants.
+
+def _reference_system(problem, grid, system):
+    """Per-edge data of the update, built edge by edge as before stacking;
+    system supplies only the foot clipping and the parking value."""
+    s = grid.nodes
+    sampled, _ = _sample_edges(problem, s)
+    feet = [system._foot_weights(s[:, None] + grid.dt * f) for f, _ in sampled]
+    stage = [grid.dt * ell for _, ell in sampled]
+    pairs = [np.asarray(d.plus_pairs).reshape(-1, 2) for d in vertex_data(problem).edges]
+    vertex_feet = [system._foot_weights(grid.dt * p[:, 0]) for p in pairs]
+    vertex_stage = [grid.dt * p[:, 1] for p in pairs]
+    costs = problem.regime.costs
+    entry = problem.regime.kind == "entry"
+    const = []
+    for e in range(problem.n_edges):
+        c = []
+        for j in range(problem.n_edges):
+            if j != e:
+                c += [costs[j] if entry else costs[e]] * len(pairs[j])
+        park = system.stall_value if entry else costs[e] + system.stall_value
+        const.append(np.asarray(c + [park] + [0.0] * len(pairs[e])))
+    return feet, stage, vertex_feet, vertex_stage, const
+
+
+def _reference_candidates(field, system, ref):
+    feet, stage, vertex_feet, vertex_stage, const = ref
+    n_edges = system.problem.n_edges
+    u = field.values
+
+    def one_step(values, lo, w, stage):
+        return stage + system.beta * (values[lo] * (1.0 - w) + values[lo + 1] * w)
+
+    interiors = [one_step(u[e], *feet[e], stage[e]) for e in range(n_edges)]
+    steps = [one_step(u[j], *vertex_feet[j], vertex_stage[j]) for j in range(n_edges)]
+    park = np.zeros(1)
+    vertex = []
+    for e in range(n_edges):
+        pieces = [steps[j] for j in range(n_edges) if j != e] + [park, steps[e]]
+        vertex.append(const[e] + np.concatenate(pieces))
+    return interiors, vertex
+
+
+def _reference_argmin(candidates, current):
+    best = candidates.argmin(axis=-1)
+    if current is None:
+        return best
+    kept = np.take_along_axis(candidates, current[..., None], axis=-1)[..., 0]
+    low = np.take_along_axis(candidates, best[..., None], axis=-1)[..., 0]
+    return np.where(kept <= low, current, best)
+
+
+@st.composite
+def _uneven_problems(draw):
+    """Problems whose edges have 1 to 5 controls; optionally one edge whose
+    velocities at O are all negative, so it has no vertex pair."""
+    counts = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    inward = draw(st.integers(-1, len(counts) - 1))
+    stationary = 1 if inward == 0 else 0  # an edge that can park at O
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["entry", "exit"]))
+    costs = [draw(st.sampled_from([0.0, 0.5, float(rng.uniform(0, 2))])) for _ in counts]
+    lines = [f"lambda = 1\nregime = {kind}\ncosts = " + ", ".join(fnum(c) for c in costs)]
+    for e, k in enumerate(counts):
+        if e == inward:
+            pool = -np.arange(1, 21) / 20
+        else:
+            pool = np.arange(-20, 21) / 20
+        controls = set(rng.choice(pool, size=k, replace=False).tolist())
+        if e == stationary:
+            controls = set(list(controls)[: k - 1]) | {0.0}
+        slope = draw(st.sampled_from([0.0, 0.25]))  # 0 makes controls tie
+        lines += [
+            "[edge]",
+            "controls = " + ", ".join(fnum(c) for c in sorted(controls)),
+            f"f = a * ({fnum(round(float(rng.uniform(0.5, 1.5)), 3))} + 0.1 * x)",
+            f"ell = {fnum(round(float(rng.uniform(0, 1)), 3))} + {fnum(slope)} * a + 0.2 * x",
+        ]
+    return parse_problem("\n".join(lines) + "\n")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    problem=_uneven_problems(),
+    seed=st.integers(0, 2**32 - 1),
+    dt_ratio=st.sampled_from([1.0, 2.0, 0.37]),
+    ties=st.booleans(),
+)
+def test_stacked_update_matches_per_edge_reference(problem, seed, dt_ratio, ties):
+    # sweep and policy, on random fields and with a current policy, equal
+    # the per-edge operator bitwise: the padding of short control lists is
+    # never chosen, and the vertex branches keep their tie order.
+    grid = GridParams(h=0.05, l_max=2.0, dt=0.05 * dt_ratio)
+    system = build_system(problem, grid)
+    ref = _reference_system(problem, grid, system)
+    rng = np.random.default_rng(seed)
+    shape = (problem.n_edges, system.n_nodes)
+
+    def random_field():
+        values = rng.integers(0, 3, shape) if ties else rng.uniform(-2, 2, shape)
+        return ValueField(values.astype(float), grid)
+
+    field, other = random_field(), random_field()
+    new, change = sweep(field, system)
+    interiors, vertex = _reference_candidates(field, system, ref)
+    expected = np.array([c.min(axis=1) for c in interiors])
+    expected[:, 0] = [c.min() for c in vertex]
+    assert np.array_equal(new.values, expected)
+    assert change == float(np.abs(expected - field.values).max())
+
+    current = policy(other, system)
+    kept = policy(field, system, current)
+    other_interiors, other_vertex = _reference_candidates(other, system, ref)
+    for e in range(problem.n_edges):
+        controls = _reference_argmin(other_interiors[e], None)
+        assert np.array_equal(current.controls[e], controls)
+        assert current.vertex[e] == _reference_argmin(other_vertex[e], None)
+        controls = _reference_argmin(interiors[e], current.controls[e])
+        assert np.array_equal(kept.controls[e], controls)
+        assert kept.vertex[e] == _reference_argmin(vertex[e], current.vertex[e])
 
 
 def test_nonconvergence_reported_not_raised(benchmark_problem, fine_grid):

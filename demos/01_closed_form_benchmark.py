@@ -24,7 +24,11 @@ print(jh.format_problem(problem))
 
 report = jh.validate(problem)
 print(f"validated: bound={report.sup_bound:g}, controllability margin={report.margin:g}")
-print(f"tangential Hamiltonian at the vertex: {jh.tangential_hamiltonian(problem):g}")
+vertex = jh.vertex_data(problem)
+print(f"tangential Hamiltonian at the vertex: {vertex.tangential:g}")
+for label, actions in enumerate(vertex.edges, start=1):
+    pairs = ", ".join(f"(v={a.velocity:g}, ell={a.cost:g})" for a in actions)
+    print(f"  vertex actions of edge {label}: {pairs}")
 print()
 
 grid = jh.GridParams(h=0.01, l_max=4.0, dt=0.01)
@@ -50,7 +54,5 @@ mask = s <= 3.0
 print(f"\nsup error on [0, 3]: edge 1 {np.abs(field.values[0] - exact)[mask].max():.2e}, "
       f"edge 2 {np.abs(field.values[1])[mask].max():.2e}")
 
-path = "/tmp/benchmark_field.csv"
-with open(path, "w", encoding="utf-8") as handle:
-    handle.write(jh.field_to_csv(field))
-print(f"field exported to {path}")
+print("\nthe field as a CSV file (first lines):")
+print("\n".join(jh.field_to_csv(field).splitlines()[:6]))

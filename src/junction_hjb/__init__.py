@@ -12,9 +12,8 @@ cross-checks.
 from .exprlang import EvalError, ExprError, ExprSyntaxError, evaluate, format_expr, parse
 from .hamiltonian import (
     NoStationaryControlError,
+    VertexAction,
     VertexData,
-    hamiltonian,
-    tangential_hamiltonian,
     vertex_data,
 )
 from .model import (

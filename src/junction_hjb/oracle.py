@@ -285,11 +285,11 @@ def _snapped_mdp(problem: Problem, grid: GridParams):
     h, dt = grid.h, grid.dt
     entry = problem.regime.kind == "entry"
     costs = problem.regime.costs
-    hold_stages = [
-        dt * data.zero_min
-        for data in vertex_data(problem).edges
-        if data.zero_min is not None
-    ]
+    hold_stages = []
+    for actions in vertex_data(problem).edges:
+        stationary = [a.cost for a in actions if a.velocity == 0.0]
+        if stationary:
+            hold_stages.append(dt * min(stationary))
 
     def gidx(e: int, m: np.ndarray) -> np.ndarray:
         # Global state index: 0 is the vertex, then edge e's nodes 1..n.
@@ -535,15 +535,16 @@ def simulate(
     """Roll out the greedy one-step policy of a converged field.
 
     At interior points the control minimizes the one-step Bellman
-    right-hand side.  Within h_snap of the vertex the policy compares, in
-    this order: switching into each other edge (entry cost plus that edge's
-    one-step value), parking at the vertex forever on the cheapest
-    stationary control, and continuing into the current edge.  Parking is
-    realized by the stationary control itself when one was sampled, else by
-    chattering between the two sampled controls that generate the
-    stationary hull point.  The greedy policy is a heuristic: it is not
-    guaranteed optimal at the vertex, and is validated externally through
-    cost dominance against the solved field.
+    right-hand side.  Within h_snap of the vertex it takes the first
+    cheapest of one ordered list of branches built from vertex_data's
+    actions: switching into each other edge along each of its actions
+    with v > 0 (entry cost plus that edge's one-step value), parking at the
+    vertex forever on the cheapest stationary action, and continuing into
+    the current edge along each of its sampled actions.  Parking is
+    realized by the stationary action's sampled control, or by chattering
+    between its pair with the action's weight theta.  The greedy policy is
+    a heuristic: it is not guaranteed optimal at the vertex, and is
+    validated externally through cost dominance against the solved field.
 
     The rollout simulates the truncated model the field was solved for:
     like the scheme's feet, an Euler step that would pass the field's l_max
@@ -567,7 +568,18 @@ def simulate(
     lam = problem.lam
     beta = math.exp(-lam * dt)
     vdata = vertex_data(problem)
-    stall_value = -vdata.tangential / lam
+    # Parking holds the cheapest stationary action, the lowest edge label
+    # and a sampled control winning ties; its cost is -vdata.tangential.
+    stall_edge, stall = min(
+        (
+            (label, act)
+            for label in problem.junction.edge_labels
+            for act in vdata.edge(label)
+            if act.velocity == 0.0
+        ),
+        key=lambda item: item[1].cost,
+    )
+    stall_value = stall.cost / lam
     entry = problem.regime.kind == "entry"
     costs = problem.regime.costs
 
@@ -587,72 +599,58 @@ def simulate(
         else:
             segments.append(SchedulePiece(duration, piece_edge, control))
 
+    def ahead(j: int, act) -> float:
+        """The discounted field value one step along act into edge j."""
+        return beta * _interp(field.values[j - 1], field.grid, dt * act.velocity)
+
     n_steps = int(round(horizon / dt))
     for _ in range(n_steps):
         edge, s = path.edge, path.s
-        spec = problem.edge(edge)
         if s <= h_snap:
             path.snap()
-            # Candidate branches at the vertex, ties toward the earliest.
-            best_kind = None
-            best_value = math.inf
-            for j in problem.junction.edge_labels:
-                if j == edge:
-                    continue
-                data = vdata.edge(j)
-                switch_cost = costs[j - 1] if entry else costs[edge - 1]
-                controls = problem.edge(j).controls
-                for a, f, ell in zip(controls, data.velocities, data.costs):
-                    if f <= 0.0:
-                        continue
-                    value = switch_cost + dt * ell + beta * _interp(
-                        field.values[j - 1], field.grid, dt * f
-                    )
-                    if value < best_value:
-                        best_value = value
-                        best_kind = ("switch", j, a, (f, ell))
-            stall_branch = stall_value if entry else costs[edge - 1] + stall_value
-            if stall_branch < best_value:
-                best_value = stall_branch
-                best_kind = ("stall", None, None, None)
-            data = vdata.edge(edge)
-            for a, f, ell in zip(spec.controls, data.velocities, data.costs):
-                if f < 0.0:
-                    # Inward controls cannot hold the state at the vertex;
-                    # relaxed holds are covered by the stall branch.
-                    continue
-                value = dt * ell + beta * _interp(
-                    field.values[edge - 1], field.grid, dt * f
-                )
-                if value < best_value:
-                    best_value = value
-                    # vertex_data snaps |f| <= ZERO_VELOCITY_TOL to 0, so a
-                    # zero is evaluated again in the step.
-                    best_kind = ("continue", edge, a, (f, ell) if f else None)
+            # The vertex branches in the order ties resolve toward: switch
+            # into each other edge along a moving action, park, continue
+            # into the own edge along a sampled control.
+            branches = [
+                (costs[(j if entry else edge) - 1] + dt * act.cost + ahead(j, act), j, act)
+                for j in problem.junction.edge_labels
+                if j != edge
+                for act in vdata.edge(j)
+                if act.velocity > 0.0
+            ]
+            park = stall_value if entry else costs[edge - 1] + stall_value
+            branches.append((park, None, None))
+            branches += [
+                (dt * act.cost + ahead(edge, act), edge, act)
+                for act in vdata.edge(edge)
+                if len(act.controls) == 1
+            ]
+            _, target, act = min(branches, key=lambda branch: branch[0])
 
-            if best_kind is None or best_kind[0] == "stall":
-                # Park forever: accumulate the discounted stationary cost up
-                # to the horizon and realize it with the generating controls.
-                # The exit from the current edge, if one was due, was charged
-                # on arrival at the vertex; parking charges nothing further.
+            if act is None:
+                # Park forever: accumulate the stationary action's discounted
+                # cost up to the horizon and realize it by its sampled control
+                # or by chattering between its pair.  The exit from the
+                # current edge, if one was due, was charged on arrival at the
+                # vertex; parking charges nothing further.
                 remaining = horizon - path.t
-                ell0 = -vdata.tangential
-                path.cost += ell0 * (1 - math.exp(-lam * remaining)) / lam * math.exp(
-                    -lam * path.t
+                path.cost += (
+                    stall.cost * (1 - math.exp(-lam * remaining)) / lam * math.exp(-lam * path.t)
                 )
-                stall_edge, generator = _stall_generator(problem, vdata)
-                _record_stall(
-                    record, problem, stall_edge, generator, remaining, dt
-                )
+                _record_stall(record, problem, stall_edge, stall, remaining, dt)
                 path.edge, path.s, path.t = stall_edge, 0.0, horizon
                 path.sample()
                 break
 
-            kind, target, a, first = best_kind
-            if kind == "switch":
-                # The exit charge, if due, already fell at the arrival time.
-                path.edge = target
+            # The exit charge of a switch, if due, already fell at the
+            # arrival time.
+            path.edge = target
+            a = problem.edge(target).controls[act.controls[0]]
+            # vertex_data snaps |f| <= ZERO_VELOCITY_TOL to 0, so a zero is
+            # evaluated again in the step.
+            first = (act.velocity, act.cost) if act.velocity else None
         else:
+            spec = problem.edge(edge)
             candidates = []
             for a in spec.controls:
                 f = exprlang.evaluate(spec.velocity, s, a)
@@ -669,35 +667,19 @@ def simulate(
     return path.trajectory(ControlSchedule(tuple(segments)))
 
 
-def _stall_generator(problem: Problem, vdata) -> tuple[int, tuple[int, ...]]:
-    """Edge label and generating control indices of the cheapest stationary
-    hull point (lowest edge label wins ties, sampled generators first)."""
-    best = None
-    for label in problem.junction.edge_labels:
-        data = vdata.edge(label)
-        for cost, gen in zip(data.zero_costs, data.zero_generators):
-            key = (cost, label, len(gen))
-            if best is None or key < best[0]:
-                best = (key, label, gen)
-    assert best is not None
-    return best[1], best[2]
-
-
-def _record_stall(record, problem: Problem, edge: int, generator, duration, dt):
-    spec = problem.edge(edge)
-    if len(generator) == 1:
-        record(edge, spec.controls[generator[0]], duration)
+def _record_stall(record, problem: Problem, edge: int, action, duration, dt):
+    """Record parking on edge's stationary action for duration: its sampled
+    control, or dt-long rounds of its pair split by theta."""
+    controls = problem.edge(edge).controls
+    if len(action.controls) == 1:
+        record(edge, controls[action.controls[0]], duration)
         return
-    # Chatter between the opposite-sign pair with the zero-velocity split.
-    k_neg, k_pos = generator
-    f_neg = exprlang.evaluate(spec.velocity, 0.0, spec.controls[k_neg])
-    f_pos = exprlang.evaluate(spec.velocity, 0.0, spec.controls[k_pos])
-    theta = f_pos / (f_pos - f_neg)  # weight on the negative-velocity control
+    k_neg, k_pos = action.controls
     remaining = duration
     while remaining > 1e-12:
         step = min(dt, remaining)
-        record(edge, spec.controls[k_pos], step * (1.0 - theta))
-        record(edge, spec.controls[k_neg], step * theta)
+        record(edge, controls[k_pos], step * (1.0 - action.theta))
+        record(edge, controls[k_neg], step * action.theta)
         remaining -= step
 
 

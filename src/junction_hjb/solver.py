@@ -17,7 +17,7 @@ extrapolation of the value beyond the truncation, which keeps the
 truncation error O(|u'(l_max)|/lam) instead of polluting the whole edge
 with an artificial state constraint).  At the vertex, with
 
-    B3_j = min over nonnegative-velocity pairs (v, ell) of edge j of
+    B3_j = min over the vertex actions (v >= 0, ell) of edge j of
            dt*ell + exp(-lam*dt) * Interp(u_j, dt*v)
 
 the update takes the cheapest of: parking at the vertex forever, moving
@@ -39,7 +39,7 @@ condition min(stall, min_j B3_j).
 A field is one (N, n+1) array, row i for edge i+1.  The system stacks its
 data alike: the interior data as (N, n+1, K) arrays over K controls (short
 control lists padded with an infinite stage cost), every edge's vertex
-pairs in one flat list, and the vertex branches in one (N, branches)
+actions in one flat list, and the vertex branches in one (N, branches)
 table, so a sweep is a few array expressions with no loop over edges.
 
 The update is a min over a finite set of actions (a control per node, a
@@ -159,17 +159,23 @@ class DiscreteSystem:
     workers = 1
 
     def __init__(self, problem: Problem, grid: GridParams):
-        self._build(problem, grid, vertex_data(problem))
+        sampled, _ = _sample_edges(problem, grid.nodes)
+        self._build(problem, grid, vertex_data(problem), sampled)
 
     def _coarser(self) -> "DiscreteSystem":
         """The system on the grid with h and dt doubled.  It shares this
-        system's vertex data, which does not depend on the grid."""
+        system's vertex data, which does not depend on the grid, and takes
+        every other node's f and ell samples: node k of the coarse grid is
+        node 2k of this one, the same double."""
         grid = GridParams(h=2 * self.grid.h, l_max=self.grid.l_max, dt=2 * self.grid.dt)
         coarse = DiscreteSystem.__new__(DiscreteSystem)
-        coarse._build(self.problem, grid, self.vertex)
+        sampled = [(f[::2], ell[::2]) for f, ell in self._sampled]
+        coarse._build(self.problem, grid, self.vertex, sampled)
         return coarse
 
-    def _build(self, problem: Problem, grid: GridParams, vertex: VertexData):
+    def _build(self, problem: Problem, grid: GridParams, vertex: VertexData, sampled):
+        """sampled holds each edge's f and ell at the grid's nodes, as
+        (n+1, n_controls) arrays."""
         self.problem = problem
         self.grid = grid
         self.beta = math.exp(-problem.lam * grid.dt)
@@ -179,7 +185,8 @@ class DiscreteSystem:
         n_edges = problem.n_edges
 
         s = grid.nodes
-        sampled, sup = _sample_edges(problem, s)
+        self._sampled = sampled
+        sup = float(max(max(np.abs(f).max(), np.abs(ell).max()) for f, ell in sampled))
         if grid.dt * sup > grid.l_max / 4:
             raise ValueError(f"dt too large: dt * bound = {grid.dt * sup:g} exceeds l_max/4")
         self.sup_bound = sup
@@ -200,9 +207,9 @@ class DiscreteSystem:
         offsets = self.n_nodes * np.arange(n_edges)
         self.interior_at = self.interior_lo + offsets[:, None, None]
 
-        # Vertex data: every edge's (v >= 0, ell) pairs in one flat list,
-        # edge by edge, with the edge index of each pair.
-        pairs = [(e, *pair) for e, d in enumerate(vertex.edges) for pair in d.plus_pairs]
+        # Vertex data: every edge's vertex actions as (v >= 0, ell) pairs in
+        # one flat list, edge by edge, with the edge index of each pair.
+        pairs = [(e, a.velocity, a.cost) for e, acts in enumerate(vertex.edges) for a in acts]
         edge, v, pell = np.array(pairs, dtype=float).reshape(-1, 3).T
         self.pair_edge = edge.astype(int)
         self.pair_lo, self.pair_w = self._foot_weights(grid.dt * v)

@@ -101,7 +101,7 @@ def test_criterion_3_vertex_characterization_and_sandwich(random_suite):
     for problem, field, _ in random_suite:
         limits = [float(u[0]) for u in field.values]
         costs = problem.regime.costs
-        stall = -jh.tangential_hamiltonian(problem) / problem.lam
+        stall = -jh.vertex_data(problem).tangential / problem.lam
         expected = min(min(v + c for v, c in zip(limits, costs)), stall)
         assert field.vertex_reconstruction == expected  # computed that way
         recon = field.vertex_reconstruction
@@ -232,7 +232,7 @@ def test_criterion_9_exit_regime():
     osol = jh.oracle_solve(problem, GRID, tol=TOL)
     sup = _sup_vs_oracle(field, osol, problem.n_edges, GRID)
     assert sup <= 0.05
-    stall = -jh.tangential_hamiltonian(problem) / problem.lam
+    stall = -jh.vertex_data(problem).tangential / problem.lam
     assert field.vertex_reconstruction <= stall + slack
     print(
         f"\nACCEPTANCE 9 PASS: exit-cost regime (oracle gap {sup:.2g} <= "

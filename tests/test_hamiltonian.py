@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import junction_hjb as jh
 from junction_hjb import exprlang
 from junction_hjb.hamiltonian import (
+    ZERO_VELOCITY_TOL,
     NoStationaryControlError,
-    hamiltonian,
-    tangential_hamiltonian,
+    VertexAction,
     vertex_data,
 )
 from junction_hjb.model import parse_problem
 
 
 def _plus_pairs(problem, edge):
-    return vertex_data(problem).edge(edge).plus_pairs
+    return tuple((a.velocity, a.cost) for a in vertex_data(problem).edge(edge))
 
 
 def hamiltonian_plus(problem, edge, p):
@@ -23,7 +25,7 @@ def hamiltonian_plus(problem, edge, p):
 
 
 def _zero_costs(problem, edge):
-    return list(vertex_data(problem).edge(edge).zero_costs)
+    return [a.cost for a in vertex_data(problem).edge(edge) if a.velocity == 0.0]
 
 
 def _two_edge(controls1, f1, ell1, controls2="-1, 0, 1", f2="a", ell2="1"):
@@ -32,26 +34,6 @@ def _two_edge(controls1, f1, ell1, controls2="-1, 0, 1", f2="a", ell2="1"):
         f"[edge]\ncontrols = {controls1}\nf = {f1}\nell = {ell1}\n"
         f"[edge]\ncontrols = {controls2}\nf = {f2}\nell = {ell2}\n"
     )
-
-
-def test_hamiltonian_dense_controls():
-    dense = ", ".join(format(a, "g") for a in np.linspace(-1, 1, 201))
-    p = _two_edge(dense, "a", "1")
-    assert hamiltonian(p, 1, 0.0, 2.0) == pytest.approx(1.0)  # |p| - 1
-
-
-def test_hamiltonian_benchmark_edge_at_zero_slope():
-    p = jh.builtin_problem("entry-basic")
-    # Edge 2 (ell = 1 - a): max over a of (a - 1) = 0 at a = 1.
-    assert hamiltonian(p, 2, 0.0, 0.0) == pytest.approx(0.0)
-
-
-def test_hamiltonian_singleton_control():
-    p = _two_edge("0.7", "a * (1 + x)", "2 + x")
-    x, p_slope, a = 1.3, -0.4, 0.7
-    f = a * (1 + x)
-    ell = 2 + x
-    assert hamiltonian(p, 1, x, p_slope) == pytest.approx(-p_slope * f - ell)
 
 
 def test_hamiltonian_plus_enumeration():
@@ -88,69 +70,36 @@ def test_zero_velocity_controls_examples():
 
 def test_tangential_hamiltonian_benchmark():
     p = jh.builtin_problem("entry-basic")
-    assert tangential_hamiltonian(p) == pytest.approx(-1.0)
+    assert vertex_data(p).tangential == pytest.approx(-1.0)
 
 
 def test_tangential_hamiltonian_constant_cost():
     p = _two_edge("-1, 0, 1", "a", "3", ell2="3")
-    assert tangential_hamiltonian(p) == pytest.approx(-3.0)
+    assert vertex_data(p).tangential == pytest.approx(-3.0)
 
 
 def test_tangential_hamiltonian_min_over_edges():
     p = _two_edge("-1, 0, 1", "a", "3", controls2="-1, 0, 1", f2="a", ell2="2")
-    assert tangential_hamiltonian(p) == pytest.approx(-2.0)
+    assert vertex_data(p).tangential == pytest.approx(-2.0)
 
 
 def test_tangential_hamiltonian_requires_stationary_control():
     p = _two_edge("0.5, 1", "1 + a", "1", controls2="0.5, 1", f2="1 + a", ell2="1")
     with pytest.raises(NoStationaryControlError):
-        tangential_hamiltonian(p)
-
-
-def test_hull_exactness_random_convex_combinations():
-    rng = np.random.default_rng(11)
-    p = _two_edge("-1, -0.4, 0.2, 1", "a * (1 + 0.1 * x)", "1 + a^2 + 0.3 * a")
-    spec = p.edges[0]
-    for _ in range(50):
-        slope = float(rng.normal(scale=3))
-        x = float(rng.uniform(0, 2))
-        base = hamiltonian(p, 1, x, slope)
-        fs = np.array([exprlang.evaluate(spec.velocity, x, a) for a in spec.controls])
-        ells = np.array(
-            [exprlang.evaluate(spec.running_cost, x, a) for a in spec.controls]
-        )
-        weights = rng.dirichlet(np.ones(len(fs)), size=20)
-        mixed = -slope * (weights @ fs) - (weights @ ells)
-        assert mixed.max() <= base + 1e-12
-
-
-def test_hamiltonian_convex_in_slope():
-    p = _two_edge("-1, -0.4, 0.2, 1", "a * (1 + 0.1 * x)", "1 + a^2 + 0.3 * a")
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        slope_a, slope_b = rng.normal(scale=5, size=2)
-        x = float(rng.uniform(0, 2))
-        mid = hamiltonian(p, 1, x, (slope_a + slope_b) / 2)
-        avg = 0.5 * (hamiltonian(p, 1, x, slope_a) + hamiltonian(p, 1, x, slope_b))
-        assert mid <= avg + 1e-12
-
-
-def test_coercivity_with_positive_margin():
-    p = jh.builtin_problem("entry-basic")
-    report = jh.validate(p)
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        slope = float(rng.normal(scale=10))
-        value = hamiltonian(p, 1, 0.0, slope)
-        assert value >= report.margin * abs(slope) - report.sup_bound - 1e-12
+        vertex_data(p)
 
 
 def test_plus_below_full_hamiltonian():
     p = _two_edge("-1, -0.3, 0.4, 1", "a", "1 + a + a^2")
+    spec = p.edge(1)
+    fs = [exprlang.evaluate(spec.velocity, 0.0, a) for a in spec.controls]
+    ells = [exprlang.evaluate(spec.running_cost, 0.0, a) for a in spec.controls]
     rng = np.random.default_rng(9)
     for _ in range(100):
         slope = float(rng.normal(scale=5))
-        assert hamiltonian_plus(p, 1, slope) <= hamiltonian(p, 1, 0.0, slope) + 1e-12
+        # H_1(O, p) over every sampled control, inward ones included.
+        full = max(-slope * f - ell for f, ell in zip(fs, ells))
+        assert hamiltonian_plus(p, 1, slope) <= full + 1e-12
 
 
 def test_max_over_nonnegative_equals_sup_over_positive():
@@ -158,9 +107,9 @@ def test_max_over_nonnegative_equals_sup_over_positive():
     # stationary hull points equals the sup over strictly positive
     # velocities along interpolations toward them.
     p = _two_edge("-1, 1", "a", "1 - a")
-    data = vertex_data(p).edge(1)
-    positive = [(f, ell) for f, ell in data.plus_pairs if f > 0]
-    stationary = [(f, ell) for f, ell in data.plus_pairs if f == 0]
+    pairs = _plus_pairs(p, 1)
+    positive = [(f, ell) for f, ell in pairs if f > 0]
+    stationary = [(f, ell) for f, ell in pairs if f == 0]
     assert positive and stationary
     for slope in (-2.0, -0.5, 0.0, 0.7, 3.0):
         full = hamiltonian_plus(p, 1, slope)
@@ -177,7 +126,67 @@ def test_max_over_nonnegative_equals_sup_over_positive():
 
 def test_vertex_data_stores_generators():
     p = _two_edge("-1, 0, 1", "a", "1 - a")
-    data = vertex_data(p).edge(1)
-    assert data.zero_min == pytest.approx(1.0)
-    kinds = {len(gen) for gen in data.zero_generators}
+    stationary = [a for a in vertex_data(p).edge(1) if a.velocity == 0.0]
+    assert min(a.cost for a in stationary) == pytest.approx(1.0)
+    kinds = {len(a.controls) for a in stationary}
     assert kinds == {1, 2}
+
+
+# Random edges: controls on a 0.1 grid, velocities with exact zeros
+# ("a - 0.5" at 0.5, "1 + a" at -1), a zero up to rounding ("3 * a - 0.3"
+# is 5.6e-17 at 0.1), or none at all ("1 + a" on a grid above -1).
+_edge = st.tuples(
+    st.lists(st.integers(-10, 10), min_size=1, max_size=6, unique=True).map(
+        lambda ks: ", ".join(format(k / 10, "g") for k in sorted(ks))
+    ),
+    st.sampled_from(["a", "3 * a - 0.3", "a - 0.5", "1 + a", "a^3 - 0.2 * a"]),
+    st.sampled_from(["1", "1 + a^2", "2 - a", "0.5 + 0.3 * a + a^2"]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_edge, _edge)
+@example(("-1, 0.1, 1", "3 * a - 0.3", "1 + a^2"), ("-1, 1", "a", "2 - a"))
+@example(("0.5, 1", "1 + a", "1"), ("0.5, 1", "1 + a", "1"))
+def test_vertex_actions_are_the_relaxed_control_set(edge1, edge2):
+    """Each edge's actions are its samples with f(O, a) >= 0, then the
+    stationary mix of every opposite-sign pair; the tangential Hamiltonian
+    is minus the cheapest stationary cost."""
+    problem = _two_edge(*edge1, *edge2)
+    expected, stationary = [], []
+    for spec in problem.edges:
+        raw = [exprlang.evaluate(spec.velocity, 0.0, a) for a in spec.controls]
+        fs = [0.0 if abs(f) <= ZERO_VELOCITY_TOL else f for f in raw]
+        ells = [exprlang.evaluate(spec.running_cost, 0.0, a) for a in spec.controls]
+        samples = [
+            VertexAction(f, ell, (k,)) for k, (f, ell) in enumerate(zip(fs, ells)) if f >= 0
+        ]
+        mixes = [
+            (k_neg, k_pos)
+            for k_neg, f_neg in enumerate(fs)
+            if f_neg < 0
+            for k_pos, f_pos in enumerate(fs)
+            if f_pos > 0
+        ]
+        expected.append((samples, mixes, fs, ells))
+        stationary += [a.cost for a in samples if a.velocity == 0.0]
+    if not stationary and not any(mixes for _, mixes, _, _ in expected):
+        with pytest.raises(NoStationaryControlError):
+            vertex_data(problem)
+        return
+
+    data = vertex_data(problem)
+    for actions, (samples, mixes, fs, ells) in zip(data.edges, expected):
+        assert list(actions[: len(samples)]) == samples
+        tail = actions[len(samples) :]
+        assert [a.controls for a in tail] == mixes
+        scale = max(abs(f) for f in fs)
+        for a in tail:
+            k_neg, k_pos = a.controls
+            assert a.velocity == 0.0 and 0.0 < a.theta < 1.0
+            drift = a.theta * fs[k_neg] + (1.0 - a.theta) * fs[k_pos]
+            assert abs(drift) <= 1e-12 * scale
+            mixed = a.theta * ells[k_neg] + (1.0 - a.theta) * ells[k_pos]
+            assert a.cost == pytest.approx(mixed, rel=1e-12, abs=1e-12)
+            stationary.append(a.cost)
+    assert data.tangential == -min(stationary)

@@ -317,16 +317,21 @@ def test_simulate_evaluates_each_control_once_per_step(
         oracle.exprlang, "evaluate", lambda *args: calls.append(args) or evaluate(*args)
     )
 
-    def count(problem, x0, field, steps):
+    def count(problem, x0, field, steps, samples=None):
         calls.clear()
         traj = simulate(problem, x0, field, horizon=steps * 0.01, dt=0.01)
-        assert len(traj.times) == steps + 1
+        assert len(traj.times) == (steps + 1 if samples is None else samples)
         return len(calls)
 
     setup = 2 * sum(len(spec.controls) for spec in problem.edges)
     interior = 2 * len(problem.edge(2).controls)
     counts = [count(problem, NetworkPoint(2, 2.0), field, steps) for steps in (1, 2, 3)]
     assert counts == [setup + interior, setup + 2 * interior, setup + 3 * interior]
+
+    # From the vertex on edge 1 it parks at once by chattering on edge 2's
+    # stationary pair, whose split comes from vertex_data too: one sample
+    # at the start and one at the horizon.
+    assert count(problem, NetworkPoint(1, 0.0), field, 5, samples=2) == setup == 24
 
     # entry-basic from the vertex on edge 1 switches into edge 2 at f = 1.
     field, _ = benchmark_solution
@@ -470,7 +475,10 @@ def test_oracle_matches_value_iteration(seed, kind, zero_cost, hull_only, dt_cel
     assert gap <= tol + vi_error
     if hull_only:
         # Parking forever at the hull point is one of the MDP's policies.
-        zero_min = min(d.zero_min for d in jh.vertex_data(problem).edges)
+        zero_min = min(
+            a.cost for actions in jh.vertex_data(problem).edges for a in actions
+            if a.velocity == 0.0
+        )
         assert sol.vertex_value <= grid.dt * zero_min / (1.0 - beta) + tol
 
 

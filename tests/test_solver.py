@@ -203,7 +203,7 @@ def test_sandwich_and_stall_bounds(benchmark_problem, fine_grid, benchmark_solut
     recon = field.vertex_reconstruction
     assert max(limits) <= recon + 1e-8
     assert recon <= min(l + c for l, c in zip(limits, costs)) + 1e-8
-    stall = -jh.tangential_hamiltonian(benchmark_problem) / benchmark_problem.lam
+    stall = -jh.vertex_data(benchmark_problem).tangential / benchmark_problem.lam
     assert recon <= stall + 1e-8
 
 
@@ -282,7 +282,7 @@ def test_exit_regime_zero_exit_is_free(fine_grid):
     exact = 1 - np.exp(-s)
     assert np.abs(field.values[0] - exact)[s <= 3.0].max() <= 0.02
     assert abs(field.vertex_reconstruction) <= 1e-8
-    stall = -jh.tangential_hamiltonian(p) / p.lam
+    stall = -jh.vertex_data(p).tangential / p.lam
     assert field.vertex_reconstruction <= stall + 1e-8
 
 
@@ -300,7 +300,7 @@ def test_exit_regime_positive_costs():
     limits = [float(u[0]) for u in field.values]
     recon = field.vertex_reconstruction
     assert recon == pytest.approx(
-        min(min(limits), -jh.tangential_hamiltonian(p) / p.lam), abs=1e-12
+        min(min(limits), -jh.vertex_data(p).tangential / p.lam), abs=1e-12
     )
     # Exit-regime sandwich: max_i(u_i(O) - d_i) <= v(O) <= min_i u_i(O).
     costs = p.regime.costs
@@ -427,7 +427,10 @@ def _reference_system(problem, grid, system):
     sampled, _ = _sample_edges(problem, s)
     feet = [system._foot_weights(s[:, None] + grid.dt * f) for f, _ in sampled]
     stage = [grid.dt * ell for _, ell in sampled]
-    pairs = [np.asarray(d.plus_pairs).reshape(-1, 2) for d in vertex_data(problem).edges]
+    pairs = [
+        np.asarray([(a.velocity, a.cost) for a in actions]).reshape(-1, 2)
+        for actions in vertex_data(problem).edges
+    ]
     vertex_feet = [system._foot_weights(grid.dt * p[:, 0]) for p in pairs]
     vertex_stage = [grid.dt * p[:, 1] for p in pairs]
     costs = problem.regime.costs

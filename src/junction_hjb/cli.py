@@ -192,7 +192,12 @@ def cmd_simulate(args) -> int:
     x0 = NetworkPoint(int(edge_text), float(s_text))
     dt = args.dt if args.dt is not None else field.grid.h
     traj = oracle_mod.simulate(problem, x0, field, horizon=args.horizon, dt=dt)
+    if x0.s == 0.0:
+        value = field.vertex_reconstruction
+    else:
+        value = float(np.interp(x0.s, field.grid.nodes, field.values[x0.edge - 1]))
     print(f"realized_cost = {traj.cost:.9g}")
+    print(f"value_gap = {traj.cost - value:.9g}")
     print(f"tail_bound = {traj.tail_bound:.9g}")
     print(f"switches = {len(traj.switches)}")
     print(f"left_domain = {'true' if traj.left_domain else 'false'}")

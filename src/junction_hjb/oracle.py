@@ -145,6 +145,12 @@ class _Path:
                 self.cost += self._charge("exit", self.t)
             self.s = 0.0
 
+    def leaving_charge(self, edge: int) -> float:
+        """What advance charges, undiscounted, for a step off the vertex into
+        edge: its entry cost in the entry regime; nothing in the exit
+        regime, whose charge falls on arrival at the vertex."""
+        return self.problem.regime.costs[edge - 1] if self.entry else 0.0
+
     def advance(self, control: float, dt: float, steps: int = 1, first=None):
         """steps explicit Euler steps of control on the current edge, with
         the running cost by the left-endpoint rule and the switch charges
@@ -530,41 +536,48 @@ def simulate(
     field: ValueField,
     horizon: float,
     dt: float,
-    h_snap: float | None = None,
 ) -> Trajectory:
     """Roll out the greedy one-step policy of a converged field.
 
     At interior points the control minimizes the one-step Bellman
-    right-hand side.  Within h_snap of the vertex it takes the first
-    cheapest of one ordered list of branches built from vertex_data's
-    actions: switching into each other edge along each of its actions
-    with v > 0 (entry cost plus that edge's one-step value), parking at the
-    vertex forever on the cheapest stationary action, and continuing into
-    the current edge along each of its sampled actions.  Parking is
-    realized by the stationary action's sampled control, or by chattering
-    between its pair with the action's weight theta.  The greedy policy is
-    a heuristic: it is not guaranteed optimal at the vertex, and is
-    validated externally through cost dominance against the solved field.
+    right-hand side.  Within h/2 of the vertex (h the field's grid step)
+    the state snaps onto O and takes the first cheapest of one list built
+    once: leaving O into each edge j, the current one included, along each
+    of its vertex_data actions with v > 0, priced at the charge the path
+    recorder makes for it (_Path.leaving_charge) plus the step's cost and
+    the discounted field value after it; then parking at the vertex
+    forever on the cheapest stationary action, realized by its sampled
+    control or by chattering between its pair with weight theta.  Holding
+    at O and leaving later is never strictly better than leaving now or
+    parking, so no move has v = 0.
 
     The rollout simulates the truncated model the field was solved for:
     like the scheme's feet, an Euler step that would pass the field's l_max
     ends at l_max, and Trajectory.left_domain records that this happened.
     The returned schedule then replays the untruncated model (in
-    evaluate_cost) only up to the first clamp.  Raises ValueError when the
-    field does not have one row per edge of the problem with a value other
-    than NaN at every node of its grid (an oracle field has none at the
+    evaluate_cost) only up to the first clamp.  Raises ValueError when dt
+    is not positive, the horizon is negative, x0 lies off the field's
+    domain (an edge label outside 1..N or s beyond l_max), or the field
+    does not have one row per edge of the problem with a value other than
+    NaN at every node of its grid (an oracle field has none at the
     per-edge vertex limits).
     """
-    if field.values.shape != (problem.n_edges, field.grid.n_intervals + 1):
+    grid = field.grid
+    if field.values.shape != (problem.n_edges, grid.n_intervals + 1):
         n_edges, n_nodes = field.values.shape
         raise ValueError(
             f"field has {n_edges} edges of {n_nodes} nodes; the problem has "
-            f"{problem.n_edges} edges and the grid {field.grid.n_intervals + 1} nodes"
+            f"{problem.n_edges} edges and the grid {grid.n_intervals + 1} nodes"
         )
     if np.isnan(field.values).any():
         raise ValueError("the field has NaN nodes (an oracle field?)")
-    if h_snap is None:
-        h_snap = field.grid.h / 2
+    if not (0.0 < dt < math.inf and 0.0 <= horizon < math.inf):
+        raise ValueError(f"need dt > 0 and a finite horizon >= 0, got {dt} and {horizon}")
+    if x0.edge not in problem.junction.edge_labels or x0.s > grid.l_max:
+        raise ValueError(
+            f"x0 ({x0.edge}, {x0.s:.6g}) is off the field's domain: edges "
+            f"1..{problem.n_edges}, s <= l_max = {grid.l_max:.6g}"
+        )
     lam = problem.lam
     beta = math.exp(-lam * dt)
     vdata = vertex_data(problem)
@@ -579,89 +592,63 @@ def simulate(
         ),
         key=lambda item: item[1].cost,
     )
-    stall_value = stall.cost / lam
-    entry = problem.regime.kind == "entry"
-    costs = problem.regime.costs
 
-    path = _Path(problem, x0, field.grid.l_max)
+    path = _Path(problem, x0, grid.l_max)
     segments: list[SchedulePiece] = []
 
     def record(piece_edge: int, control: float, duration: float):
-        if (
-            segments
-            and segments[-1].edge == piece_edge
-            and segments[-1].control == control
-        ):
-            merged = SchedulePiece(
-                segments[-1].duration + duration, piece_edge, control
-            )
-            segments[-1] = merged
-        else:
-            segments.append(SchedulePiece(duration, piece_edge, control))
+        # A piece that continues the last one's control merges into it.
+        if segments and (segments[-1].edge, segments[-1].control) == (piece_edge, control):
+            duration = segments.pop().duration + duration
+        segments.append(SchedulePiece(duration, piece_edge, control))
 
-    def ahead(j: int, act) -> float:
-        """The discounted field value one step along act into edge j."""
-        return beta * _interp(field.values[j - 1], field.grid, dt * act.velocity)
+    # The vertex candidates (value, edge, control, (f, ell)): every move off
+    # O, then parking, so that a move wins a tie.
+    moves = [
+        (
+            path.leaving_charge(j) + dt * act.cost
+            + beta * _interp(field.values[j - 1], grid, dt * act.velocity),
+            j, problem.edge(j).controls[act.controls[0]], (act.velocity, act.cost),
+        )
+        for j in problem.junction.edge_labels
+        for act in vdata.edge(j)
+        if act.velocity > 0.0
+    ]
+    moves.append((stall.cost / lam, None, None, None))
 
+    h_snap = grid.h / 2
     n_steps = int(round(horizon / dt))
     for _ in range(n_steps):
         edge, s = path.edge, path.s
         if s <= h_snap:
             path.snap()
-            # The vertex branches in the order ties resolve toward: switch
-            # into each other edge along a moving action, park, continue
-            # into the own edge along a sampled control.
-            branches = [
-                (costs[(j if entry else edge) - 1] + dt * act.cost + ahead(j, act), j, act)
-                for j in problem.junction.edge_labels
-                if j != edge
-                for act in vdata.edge(j)
-                if act.velocity > 0.0
-            ]
-            park = stall_value if entry else costs[edge - 1] + stall_value
-            branches.append((park, None, None))
-            branches += [
-                (dt * act.cost + ahead(edge, act), edge, act)
-                for act in vdata.edge(edge)
-                if len(act.controls) == 1
-            ]
-            _, target, act = min(branches, key=lambda branch: branch[0])
-
-            if act is None:
-                # Park forever: accumulate the stationary action's discounted
-                # cost up to the horizon and realize it by its sampled control
-                # or by chattering between its pair.  The exit from the
-                # current edge, if one was due, was charged on arrival at the
-                # vertex; parking charges nothing further.
-                remaining = horizon - path.t
-                path.cost += (
-                    stall.cost * (1 - math.exp(-lam * remaining)) / lam * math.exp(-lam * path.t)
-                )
-                _record_stall(record, problem, stall_edge, stall, remaining, dt)
-                path.edge, path.s, path.t = stall_edge, 0.0, horizon
-                path.sample()
-                break
-
-            # The exit charge of a switch, if due, already fell at the
-            # arrival time.
-            path.edge = target
-            a = problem.edge(target).controls[act.controls[0]]
-            # vertex_data snaps |f| <= ZERO_VELOCITY_TOL to 0, so a zero is
-            # evaluated again in the step.
-            first = (act.velocity, act.cost) if act.velocity else None
+            candidates = moves
         else:
             spec = problem.edge(edge)
             candidates = []
             for a in spec.controls:
                 f = exprlang.evaluate(spec.velocity, s, a)
                 ell = exprlang.evaluate(spec.running_cost, s, a)
-                value = dt * ell + beta * _interp(
-                    field.values[edge - 1], field.grid, s + dt * f
-                )
-                candidates.append((value, a, (f, ell)))
-            _, a, first = min(candidates, key=lambda item: item[0])
+                value = dt * ell + beta * _interp(field.values[edge - 1], grid, s + dt * f)
+                candidates.append((value, edge, a, (f, ell)))
+        _, edge, a, first = min(candidates, key=lambda item: item[0])
 
-        record(path.edge, a, dt)
+        if edge is None:
+            # Park forever: accumulate the stationary action's discounted
+            # cost up to the horizon and realize it by its sampled control
+            # or by chattering between its pair.  The exit from the current
+            # edge, if one was due, was charged on arrival at the vertex.
+            remaining = horizon - path.t
+            path.cost += (
+                stall.cost * (1 - math.exp(-lam * remaining)) / lam * math.exp(-lam * path.t)
+            )
+            _record_stall(record, problem, stall_edge, stall, remaining, dt)
+            path.edge, path.s, path.t = stall_edge, 0.0, horizon
+            path.sample()
+            break
+
+        path.edge = edge
+        record(edge, a, dt)
         path.advance(a, dt, first=first)
 
     return path.trajectory(ControlSchedule(tuple(segments)))

@@ -193,6 +193,40 @@ def test_simulate_prints_left_domain(tmp_path, capsys):
     assert "left_domain = false" in capsys.readouterr().out.splitlines()
 
 
+def test_simulate_prints_value_gap(tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    field = tmp_path / "field.csv"
+    assert main(["solve", spec, "--out", str(field)]) == 0
+    for x0 in ("1,1.0", "1,0"):
+        capsys.readouterr()
+        assert main(["simulate", spec, "--field", str(field), "--x0", x0]) == 0
+        out = capsys.readouterr().out
+        gap = float(next(l for l in out.splitlines() if l.startswith("value_gap")).split("=")[1])
+        assert abs(gap) <= 0.01  # h
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--dt", "0"],
+        ["--dt", "-0.01"],
+        ["--horizon", "-1"],
+        ["--x0", "5,0.003"],
+        ["--x0", "0,0.5"],
+        ["--x0", "1,100"],
+    ],
+)
+def test_simulate_rejects_inputs_that_do_not_fit_exit_1(tmp_path, capsys, flags):
+    spec = _write_spec(tmp_path)
+    field = tmp_path / "field.csv"
+    assert main(["solve", spec, "--out", str(field)]) == 0
+    capsys.readouterr()
+    args = ["simulate", spec, "--field", str(field), "--x0", "1,1.0", *flags]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "realized_cost" not in captured.out
+
+
 def test_simulate_mismatched_field_exit_1(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     field = tmp_path / "field.csv"

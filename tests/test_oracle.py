@@ -289,17 +289,18 @@ def test_simulate_flags_leaving_the_domain(benchmark_problem, fine_grid, benchma
 
     # The acceptance seed's random problem 0: on edge 3 the greedy policy
     # runs outward (unclamped it reached s ~ 1e13 and costs ~ 1e16); on the
-    # truncated model it realizes the field value.  From the vertex on edge
-    # 1 it stays.
+    # truncated model it realizes the field value.  From the vertex, on any
+    # edge label, it realizes v(O) and stays.
     from conftest import make_random_problem
 
     problem = make_random_problem(np.random.default_rng(20260810))
     field, _ = jh.solve(problem, fine_grid)
-    for s in (0.0, 1.0):
-        traj = simulate(problem, NetworkPoint(3, s), field, horizon=25.0, dt=0.01)
-        assert traj.left_domain and traj.positions.max() <= l_max
+    traj = simulate(problem, NetworkPoint(3, 1.0), field, horizon=25.0, dt=0.01)
+    assert traj.left_domain and traj.positions.max() <= l_max
     value = float(np.interp(1.0, fine_grid.nodes, field.values[2]))
     assert abs(traj.cost - value) <= fine_grid.h
+    traj = simulate(problem, NetworkPoint(3, 0.0), field, horizon=25.0, dt=0.01)
+    assert abs(traj.cost - field.vertex_reconstruction) <= fine_grid.h
     assert not simulate(problem, NetworkPoint(1, 0.0), field, horizon=25.0, dt=0.01).left_domain
 
 
@@ -338,6 +339,66 @@ def test_simulate_evaluates_each_control_once_per_step(
     traj = simulate(benchmark_problem, NetworkPoint(1, 0.0), field, horizon=0.01, dt=0.01)
     assert traj.edges[-1] == 2 and traj.positions[-1] > 0
     assert count(benchmark_problem, NetworkPoint(1, 0.0), field, 1) == 2 * 3 * 2
+
+
+def _exit_mirror(problem: Problem) -> Problem:
+    """The same problem with its costs charged on exit instead of entry."""
+    return Problem(
+        problem.junction, problem.edges, problem.lam, CostRegime("exit", problem.regime.costs)
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edge=st.integers(1, 3),
+    s=st.one_of(st.just(0.0), st.floats(0.005, 3.9, exclude_min=True)),
+)
+@example(seed=3190161769, edge=1, s=0.0)
+def test_simulate_realizes_the_field_value(fine_grid, seed, edge, s):
+    # With entry costs the greedy rollout of a solved field realizes the
+    # field's value to within h from both sides: v(O) from the vertex, the
+    # interpolated field elsewhere.  The exit mirror's rollout from the
+    # vertex is only held to dominance here: where u_i holds near O on edge
+    # i's own stationary mix without touching O (the example's edge 1), a
+    # rollout that reaches O pays d_i each time and realizes more.
+    h = fine_grid.h
+    problem = make_random_problem(np.random.default_rng(seed))
+    field, _ = jh.solve(problem, fine_grid)
+    traj = simulate(problem, NetworkPoint(edge, s), field, horizon=25.0, dt=h)
+    if s == 0.0:
+        value = field.vertex_reconstruction
+    else:
+        value = float(np.interp(s, fine_grid.nodes, field.values[edge - 1]))
+    assert abs(traj.cost + traj.tail_bound - value) <= h
+
+    mirror = _exit_mirror(problem)
+    field, _ = jh.solve(mirror, fine_grid)
+    traj = simulate(mirror, NetworkPoint(edge, 0.0), field, horizon=25.0, dt=h)
+    assert traj.cost + traj.tail_bound >= field.vertex_reconstruction - h
+
+
+def test_simulate_realizes_v_o_on_the_acceptance_exit_mirrors(fine_grid):
+    # The exit mirrors of the acceptance seed's random problems 0-19 from
+    # the vertex, where the hold above does not arise: both sides within h.
+    # The start's edge label does not matter at O.
+    rng = np.random.default_rng(20260810)
+    for _ in range(20):
+        mirror = _exit_mirror(make_random_problem(rng))
+        field, _ = jh.solve(mirror, fine_grid)
+        traj = simulate(mirror, NetworkPoint(1, 0.0), field, horizon=25.0, dt=fine_grid.h)
+        assert abs(traj.cost + traj.tail_bound - field.vertex_reconstruction) <= fine_grid.h
+
+
+def test_simulate_vertex_gap_halves_with_h(benchmark_problem):
+    # From O, entry-basic's rollout pays the entry cost one step later than
+    # the scheme prices it: a first-order gap.
+    gaps = []
+    for h in (0.01, 0.005):
+        field, _ = jh.solve(benchmark_problem, GridParams(h=h, l_max=4.0, dt=h))
+        traj = simulate(benchmark_problem, NetworkPoint(1, 0.0), field, horizon=25.0, dt=h)
+        gaps.append(traj.cost + traj.tail_bound - field.vertex_reconstruction)
+    assert 0.4 * abs(gaps[0]) <= abs(gaps[1]) <= 0.6 * abs(gaps[0])
 
 
 def test_evaluate_cost_charges_each_reentry(benchmark_problem):

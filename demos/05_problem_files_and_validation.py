@@ -46,7 +46,6 @@ print(f"   edges: {problem.n_edges}, discount rate: {problem.lam}")
 print(f"   bound: {report.sup_bound:.3f}, f-Lipschitz: {report.f_lipschitz:.3f}, "
       f"margin: {report.margin:.3f}")
 print(f"   violations: {list(report.violations) or 'none'}")
-print(f"   vertex velocity/cost hull, edge 1: {report.hull_vertices[0]}")
 print()
 
 print("3. Problems the validator rejects:")

@@ -65,9 +65,6 @@ def cmd_validate(args) -> int:
     problem = load_problem(args.spec)
     report = validate(problem, samples=args.samples)
     if args.format == "json":
-        hulls = [
-            [[f, ell] for f, ell in hull] for hull in report.hull_vertices
-        ]
         import json
 
         print(
@@ -77,7 +74,6 @@ def cmd_validate(args) -> int:
                     "f_lipschitz": report.f_lipschitz,
                     "ell_slope": report.ell_slope,
                     "delta": report.margin,
-                    "hull_vertices": hulls,
                     "violations": list(report.violations),
                 },
                 indent=2,

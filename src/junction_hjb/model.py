@@ -30,8 +30,8 @@ stand-ins for the standing hypotheses the solver relies on:
 
     [H1] dynamics bounded and Lipschitz in x,
     [H2] running costs bounded with a modulus in x,
-    [H3] convex velocity/cost sets (realized here by taking the convex
-         hull of the finitely sampled pairs),
+    [H3] convex velocity/cost sets (not sampled: the scheme realizes the
+         convex hull of the finitely sampled pairs itself),
     [H4] strong controllability at O: the sampled velocities on every
          edge straddle zero with a positive margin delta.
 """
@@ -191,7 +191,6 @@ class AssumptionReport:
     margin        controllability margin delta: min over edges of
                   min(max_a f(O,a), -min_a f(O,a)); positive iff the sampled
                   velocities at O straddle zero on every edge (H4)
-    hull_vertices per-edge convex hull of the (f(O,a), ell(O,a)) pairs (H3)
     violations    human-readable failures, empty when all hypotheses hold
     """
 
@@ -199,7 +198,6 @@ class AssumptionReport:
     f_lipschitz: float
     ell_slope: float
     margin: float
-    hull_vertices: tuple[tuple[tuple[float, float], ...], ...]
     violations: tuple[str, ...] = field(default=())
 
     @property
@@ -356,28 +354,6 @@ def format_problem(problem: Problem) -> str:
 # Assumption validation
 # ---------------------------------------------------------------------------
 
-def _convex_hull(points: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    """Monotone-chain 2-D convex hull; tolerates duplicates and collinearity."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return tuple(pts)
-
-    def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return tuple(lower[:-1] + upper[:-1])
-
-
 def _sample_edges(problem: Problem, s: np.ndarray):
     """f and ell of every edge at the points s for each control, as
     (len(s), n_controls) pairs, and the sup of |f| and |ell| over all of
@@ -413,7 +389,6 @@ def validate(problem: Problem, samples: int = 101, x_max: float = 4.0) -> Assump
     f_lipschitz = 0.0
     ell_slope = 0.0
     margins = []
-    hulls = []
     violations: list[str] = []
 
     for label, spec in enumerate(problem.edges, start=1):
@@ -442,21 +417,17 @@ def validate(problem: Problem, samples: int = 101, x_max: float = 4.0) -> Assump
 
         if f_ok and ell_ok:
             f_origin = f_vals[0]
-            ell_origin = ell_vals[0]
             margin_i = float(min(f_origin.max(), -f_origin.min()))
             margins.append(margin_i)
-            hulls.append(_convex_hull(list(zip(f_origin.tolist(), ell_origin.tolist()))))
             if margin_i <= 0:
                 violations.append(f"[H4]: delta <= 0 on edge {label}")
         else:
             margins.append(float("-inf"))
-            hulls.append(())
 
     return AssumptionReport(
         sup_bound=sup_bound,
         f_lipschitz=f_lipschitz,
         ell_slope=ell_slope,
         margin=float(min(margins)),
-        hull_vertices=tuple(hulls),
         violations=tuple(violations),
     )

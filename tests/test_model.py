@@ -186,11 +186,3 @@ def test_validate_margin_formula():
             for spec in p.edges
         )
         assert report.margin == pytest.approx(expected)
-
-
-def test_hull_vertices_on_degenerate_segment():
-    p = parse_problem(BASIC)
-    report = validate(p)
-    # Edge 1: all pairs lie on the segment (a, 1); the hull keeps endpoints.
-    hull = report.hull_vertices[0]
-    assert (-1.0, 1.0) in hull and (1.0, 1.0) in hull

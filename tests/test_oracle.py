@@ -129,16 +129,20 @@ def test_oracle_csv_omits_per_edge_vertex_rows(benchmark_problem, tmp_path):
 
 
 def test_connect_same_edge(benchmark_problem):
-    sched, tau = connect(benchmark_problem, NetworkPoint(1, 0.1), NetworkPoint(1, 0.3))
+    x1, x2 = NetworkPoint(1, 0.1), NetworkPoint(1, 0.3)
+    sched, tau = connect(benchmark_problem, x1, x2)
     assert tau <= 2 * 0.2 + 2 * 0.005
+    assert tau == pytest.approx(jh.geodesic_distance(x1, x2), abs=1e-12)
     assert len(sched.pieces) == 1
     assert sched.pieces[0].edge == 1
     assert sched.pieces[0].control == 1.0  # fastest outward control
 
 
 def test_connect_via_vertex(benchmark_problem):
-    sched, tau = connect(benchmark_problem, NetworkPoint(1, 0.1), NetworkPoint(2, 0.1))
+    x1, x2 = NetworkPoint(1, 0.1), NetworkPoint(2, 0.1)
+    sched, tau = connect(benchmark_problem, x1, x2)
     assert tau <= 2 * 0.2 + 2 * 0.005
+    assert tau == pytest.approx(jh.geodesic_distance(x1, x2), abs=1e-12)
     assert [p.edge for p in sched.pieces] == [1, 2]
 
 
@@ -175,6 +179,51 @@ def test_connect_requires_margin():
     )
     with pytest.raises(ValueError, match="margin"):
         connect(p, NetworkPoint(1, 0.1), NetworkPoint(1, 0.2))
+
+
+def test_connect_raises_when_the_speed_turns_back():
+    # A dip of f between validate's sample points, which reports a margin
+    # and a slope that put (1, 0.3) in the controllability ball: edge 1's
+    # inward control moves outward near s = 0.02.
+    p = parse_problem(
+        "lambda = 1\nregime = entry\ncosts = 1, 1\n"
+        "[edge]\ncontrols = -1, 1\nf = a * (1 - 3 * exp(-10000 * (x - 0.02)^2))\nell = 1\n"
+        "[edge]\ncontrols = -1, 1\nf = a\nell = 1\n"
+    )
+    with pytest.raises(RuntimeError, match="toward s = 0"):
+        connect(p, NetworkPoint(1, 0.3), NetworkPoint(2, 0.1))
+
+
+def test_connect_replays_on_position_dependent_dynamics():
+    # The acceptance seed's random problems 0-19, whose speeds depend on x:
+    # every schedule replays through evaluate_cost at its default substeps
+    # (no "switch away from O") and ends within 2 h_snap of x2.
+    h_snap = 0.005
+    rng = np.random.default_rng(20260810)
+    problems = [make_random_problem(rng) for _ in range(20)]
+    pair_rng = np.random.default_rng(0)
+    missed = []
+    for problem in problems:
+        report = jh.validate(problem)
+        radius = min(report.margin / (2 * report.f_lipschitz), 1.0)
+        for _ in range(10):
+            x1, x2 = (
+                NetworkPoint(
+                    int(pair_rng.integers(1, problem.n_edges + 1)),
+                    float(pair_rng.uniform(0.0, radius)),
+                )
+                for _ in range(2)
+            )
+            sched, _ = connect(problem, x1, x2, h_snap=h_snap)
+            try:
+                traj = evaluate_cost(problem, x1, sched)
+            except ValueError as exc:
+                missed.append(f"{x1} -> {x2}: {exc}")
+                continue
+            end = NetworkPoint(int(traj.edges[-1]), float(traj.positions[-1]))
+            if jh.geodesic_distance(end, x2) > 2 * h_snap:
+                missed.append(f"{x1} -> {x2}: ends at {end}")
+    assert not missed, missed
 
 
 def test_simulate_runs_to_vertex_then_switches(benchmark_problem, fine_grid, benchmark_solution):

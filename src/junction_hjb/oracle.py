@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .hamiltonian import vertex_data
+from .hamiltonian import ZERO_VELOCITY_TOL, vertex_data
 from .model import NetworkPoint, Problem, _sample_edges, validate
 from .solver import GridParams, ValueField
 
@@ -51,24 +51,29 @@ DEFAULT_H_SNAP = 0.005  # half the default mesh h = 0.01
 
 @dataclass(frozen=True)
 class SchedulePiece:
+    """duration on edge under weight theta on control and 1 - theta on
+    partner: control alone when theta = 1 with no partner, or a mix (such as
+    a stationary action of hamiltonian.vertex_data) when 0 < theta < 1."""
+
     duration: float
     edge: int
     control: float
+    theta: float = 1.0
+    partner: float | None = None
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("piece duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"piece duration must be finite and positive, got {self.duration}")
+        if not (self.theta == 1.0 if self.partner is None else 0.0 < self.theta < 1.0):
+            raise ValueError(f"theta = {self.theta} with partner {self.partner!r}: need "
+                             "theta = 1 and no partner, or 0 < theta < 1 and a partner")
 
 
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Piecewise-constant open-loop control: (duration, edge, control value)."""
+    """Piecewise-constant open-loop control: a tuple of SchedulePieces."""
 
     pieces: tuple[SchedulePiece, ...]
-
-    @property
-    def horizon(self) -> float:
-        return sum(p.duration for p in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -151,12 +156,14 @@ class _Path:
         regime, whose charge falls on arrival at the vertex."""
         return self.problem.regime.costs[edge - 1] if self.entry else 0.0
 
-    def advance(self, control: float, dt: float, steps: int = 1, first=None):
-        """steps explicit Euler steps of control on the current edge, with
-        the running cost by the left-endpoint rule and the switch charges
-        that fall due: entry on leaving the vertex, exit on reaching it from
-        inside.  first, when given, is the pair (f, ell) of control at the
-        current state, which the caller has already evaluated."""
+    def advance(self, control: float, dt: float, steps: int = 1, first=None,
+                theta: float = 1.0, partner: float | None = None):
+        """steps explicit Euler steps of control, mixed with weight 1 - theta
+        on partner when one is given (a mixed |f| <= ZERO_VELOCITY_TOL is 0,
+        as in vertex_data), on the current edge, with the running cost by
+        the left-endpoint rule and the switch charges that fall due: entry
+        on leaving the vertex, exit on reaching it from inside.  first, when
+        given, is the pair (f, ell) at the current state, already evaluated."""
         edge = self.edge
         spec = self.problem.edges[edge - 1]
         evaluate = exprlang.evaluate
@@ -166,6 +173,10 @@ class _Path:
             if first is None:
                 ell = evaluate(spec.running_cost, s, control)
                 f = evaluate(spec.velocity, s, control)
+                if partner is not None:
+                    ell = theta * ell + (1.0 - theta) * evaluate(spec.running_cost, s, partner)
+                    f = theta * f + (1.0 - theta) * evaluate(spec.velocity, s, partner)
+                    f = 0.0 if abs(f) <= ZERO_VELOCITY_TOL else f
             else:
                 f, ell = first
                 first = None
@@ -223,12 +234,13 @@ def evaluate_cost(
     """Integrate the discounted cost of an explicit control schedule.
 
     Dynamics are integrated by explicit Euler with duration/substeps per
-    piece; the running cost uses the left-endpoint rectangle rule.  A piece
-    may only name a different edge than the current one while the state is
-    within h_snap of the vertex, otherwise the schedule is rejected.  The
-    tail bound exp(-lam*T) * (sup_bound/lam + cheapest switching cost)
-    covers the value of any optimal continuation after the horizon plus
-    one imminent switch charge.
+    piece; the running cost uses the left-endpoint rectangle rule.  A mix
+    piece takes the mixed (f, ell) at the current s, so a stationary mix at
+    O stays there and charges nothing.  A piece naming a control outside
+    its edge's list, or another edge while the state is beyond h_snap of
+    the vertex, is rejected.  The tail bound exp(-lam*T) * (sup_bound/lam
+    + cheapest switching cost) covers the value of any optimal
+    continuation after the horizon plus one imminent switch charge.
 
     Inward velocities at the vertex are projected (the state stays at 0),
     so a substep that overshoots the vertex is priced with O(dt) error;
@@ -247,12 +259,11 @@ def evaluate_cost(
                 )
             path.snap()
             path.edge = piece.edge
-        if piece.control not in problem.edge(path.edge).controls:
-            raise ValueError(
-                f"control {piece.control!r} is not in edge {path.edge}'s control list"
-            )
+        for a in (piece.control, piece.partner):
+            if a is not None and a not in problem.edge(path.edge).controls:
+                raise ValueError(f"control {a!r} is not in edge {path.edge}'s control list")
         dt = piece.duration / substeps
-        path.advance(piece.control, dt, substeps)
+        path.advance(piece.control, dt, substeps, theta=piece.theta, partner=piece.partner)
     return path.trajectory(schedule)
 
 
@@ -537,8 +548,9 @@ def simulate(
     of its vertex_data actions with v > 0, priced at the charge the path
     recorder makes for it (_Path.leaving_charge) plus the step's cost and
     the discounted field value after it; then parking at the vertex
-    forever on the cheapest stationary action, realized by its sampled
-    control or by chattering between its pair with weight theta.  Holding
+    forever on the cheapest stationary action, priced analytically and
+    recorded as one schedule piece: its sampled control, or its pair and
+    theta as one relaxed piece, which evaluate_cost replays.  Holding
     at O and leaving later is never strictly better than leaving now or
     parking, so no move has v = 0.
 
@@ -585,13 +597,14 @@ def simulate(
     )
 
     path = _Path(problem, x0, grid.l_max)
-    segments: list[SchedulePiece] = []
+    runs: list[list] = []  # [(edge, control, theta[, partner]), duration]
 
-    def record(piece_edge: int, control: float, duration: float):
-        # A piece that continues the last one's control merges into it.
-        if segments and (segments[-1].edge, segments[-1].control) == (piece_edge, control):
-            duration = segments.pop().duration + duration
-        segments.append(SchedulePiece(duration, piece_edge, control))
+    def record(duration: float, *key):
+        # A piece that continues the last one's relaxed control merges into it.
+        if runs and runs[-1][0] == key:
+            runs[-1][1] += duration
+        else:
+            runs.append([key, duration])
 
     # The vertex candidates (value, edge, control, (f, ell)): every move off
     # O, then parking, so that a move wins a tie.
@@ -626,39 +639,25 @@ def simulate(
 
         if edge is None:
             # Park forever: accumulate the stationary action's discounted
-            # cost up to the horizon and realize it by its sampled control
-            # or by chattering between its pair.  The exit from the current
-            # edge, if one was due, was charged on arrival at the vertex.
+            # cost up to the horizon and record it as one relaxed piece.
+            # The exit from the current edge, if one was due, was charged
+            # on arrival at the vertex.
             remaining = horizon - path.t
             path.cost += (
                 stall.cost * (1 - math.exp(-lam * remaining)) / lam * math.exp(-lam * path.t)
             )
-            _record_stall(record, problem, stall_edge, stall, remaining, dt)
+            a, *partner = (problem.edge(stall_edge).controls[k] for k in stall.controls)
+            record(remaining, stall_edge, a, stall.theta, *partner)
             path.edge, path.s, path.t = stall_edge, 0.0, horizon
             path.sample()
             break
 
         path.edge = edge
-        record(edge, a, dt)
+        record(dt, edge, a, 1.0)
         path.advance(a, dt, first=first)
 
-    return path.trajectory(ControlSchedule(tuple(segments)))
-
-
-def _record_stall(record, problem: Problem, edge: int, action, duration, dt):
-    """Record parking on edge's stationary action for duration: its sampled
-    control, or dt-long rounds of its pair split by theta."""
-    controls = problem.edge(edge).controls
-    if len(action.controls) == 1:
-        record(edge, controls[action.controls[0]], duration)
-        return
-    k_neg, k_pos = action.controls
-    remaining = duration
-    while remaining > 1e-12:
-        step = min(dt, remaining)
-        record(edge, controls[k_pos], step * (1.0 - action.theta))
-        record(edge, controls[k_neg], step * action.theta)
-        remaining -= step
+    pieces = tuple(SchedulePiece(duration, *key) for key, duration in runs)
+    return path.trajectory(ControlSchedule(pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,57 @@ def test_evaluate_cost_rejects_switch_away_from_vertex(benchmark_problem):
 
 
 def test_evaluate_cost_rejects_unknown_control(benchmark_problem):
-    sched = ControlSchedule((SchedulePiece(1.0, 1, 0.3),))
-    with pytest.raises(ValueError, match="control list"):
-        evaluate_cost(benchmark_problem, NetworkPoint(1, 1.0), sched, substeps=10)
+    # A sampled control, or a mix's partner, outside the edge's list.
+    for piece in (SchedulePiece(1.0, 1, 0.3), SchedulePiece(1.0, 1, -1.0, 0.5, 0.3)):
+        with pytest.raises(ValueError, match="control list"):
+            evaluate_cost(
+                benchmark_problem, NetworkPoint(1, 1.0), ControlSchedule((piece,)), substeps=10
+            )
+    # A weight outside (0, 1], a partner without a weight below 1, or a
+    # weight below 1 without a partner names no relaxed control.
+    for theta, partner in ((0.0, 1.0), (-0.5, 1.0), (1.5, 1.0), (1.5, None), (math.nan, 1.0),
+                           (1.0, 1.0), (0.5, None)):
+        with pytest.raises(ValueError, match="theta"):
+            SchedulePiece(1.0, 1, -1.0, theta, partner)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+def test_schedule_piece_rejects_a_duration_that_is_not_finite_and_positive(duration):
+    with pytest.raises(ValueError, match="duration"):
+        SchedulePiece(duration, 1, 0.0)
+
+
+def test_evaluate_cost_parks_on_a_stationary_mix_at_the_vertex():
+    # HULL_ONLY's edge 1 parks only on the mix of a = -1 and a = 1 with
+    # theta = 1/2, at cost 1: the state stays exactly at O, no entry cost
+    # falls due, and the cost is the left rectangle sum of the closed form
+    # (1 - exp(-T)) / lam.
+    p = parse_problem("lambda = 1\nregime = entry\ncosts = 2, 3\n" + HULL_ONLY)
+    T, substeps = 20.0, 2000
+    sched = ControlSchedule((SchedulePiece(T, 1, -1.0, 0.5, 1.0),))
+    traj = evaluate_cost(p, NetworkPoint(1, 0.0), sched, substeps=substeps)
+    assert (traj.positions == 0.0).all() and traj.switches == ()
+    dt = T / substeps
+    assert traj.cost == pytest.approx(dt * (1 - math.exp(-T)) / (1 - math.exp(-dt)), rel=1e-12)
+    assert 0.0 < traj.cost - (1 - math.exp(-T)) <= dt
+
+
+def test_evaluate_cost_mixes_f_and_ell_at_the_current_position():
+    # Weight 1/4 on a = -1 and 3/4 on a = 1 of f = a + x, ell = x + a:
+    # the mix moves by x + 1/2 and costs x + 1/2 at the current x, so from
+    # x0 the state is (x0 + 1/2) e^t - 1/2 and, with lam = 1, the cost to T
+    # is (x0 + 1/2) T.
+    p = parse_problem(
+        "lambda = 1\nregime = entry\ncosts = 1, 1\n"
+        "[edge]\ncontrols = -1, 1\nf = a + x\nell = x + a\n"
+        "[edge]\ncontrols = -1, 1\nf = a\nell = 1\n"
+    )
+    x0, T = 0.5, 1.0
+    sched = ControlSchedule((SchedulePiece(T, 1, -1.0, 0.25, 1.0),))
+    traj = evaluate_cost(p, NetworkPoint(1, x0), sched, substeps=1000)
+    assert traj.positions[-1] == pytest.approx((x0 + 0.5) * math.exp(T) - 0.5, rel=1e-3)
+    assert traj.cost == pytest.approx((x0 + 0.5) * T, rel=1e-3)
+    assert traj.switches == ()
 
 
 def test_evaluate_cost_exit_regime_charges_on_reaching_vertex():
@@ -266,11 +314,21 @@ def test_simulate_cost_consistency(benchmark_problem, fine_grid, benchmark_solut
 
 
 def test_simulate_stall_schedule_replays(fine_grid):
-    p = jh.builtin_problem("entry-expensive")
-    field, _ = jh.solve(p, fine_grid)
-    traj = simulate(p, NetworkPoint(1, 1.0), field, horizon=20.0, dt=0.01)
-    replay = evaluate_cost(p, NetworkPoint(1, 1.0), traj.schedule, substeps=8000)
-    assert replay.cost == pytest.approx(traj.cost, abs=0.02)
+    # A park is one schedule piece.  entry-expensive runs to the vertex and
+    # parks on a sampled control; the acceptance seed's random problem 0
+    # parks from the vertex at once on edge 2's stationary mix, which
+    # replays at O without entering edge 2.
+    random_0 = make_random_problem(np.random.default_rng(20260810))
+    cases = (
+        (jh.builtin_problem("entry-expensive"), NetworkPoint(1, 1.0), 8000),
+        (random_0, NetworkPoint(1, 0.0), 800),
+    )
+    for p, x0, substeps in cases:
+        field, _ = jh.solve(p, fine_grid)
+        traj = simulate(p, x0, field, horizon=20.0, dt=0.01)
+        assert len(traj.schedule.pieces) <= 2
+        replay = evaluate_cost(p, x0, traj.schedule, substeps=substeps)
+        assert replay.cost == pytest.approx(traj.cost, abs=0.02)
 
 
 def test_simulate_exit_regime(fine_grid):
@@ -378,9 +436,9 @@ def test_simulate_evaluates_each_control_once_per_step(
     counts = [count(problem, NetworkPoint(2, 2.0), field, steps) for steps in (1, 2, 3)]
     assert counts == [setup + interior, setup + 2 * interior, setup + 3 * interior]
 
-    # From the vertex on edge 1 it parks at once by chattering on edge 2's
-    # stationary pair, whose split comes from vertex_data too: one sample
-    # at the start and one at the horizon.
+    # From the vertex on edge 1 it parks at once on edge 2's stationary
+    # mix, recorded as one relaxed piece whose split comes from vertex_data
+    # too: one sample at the start and one at the horizon.
     assert count(problem, NetworkPoint(1, 0.0), field, 5, samples=2) == setup == 24
 
     # entry-basic from the vertex on edge 1 switches into edge 2 at f = 1.

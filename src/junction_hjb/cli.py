@@ -6,8 +6,8 @@ solver.field_to_json); simulate, residual and compare read them back with
 the solver's readers.
 Exit codes: 0 success, 1 I/O or parse errors (and fields that do not fit
 the problem or share no node with each other, or that were solved for
-another problem), 2 validation violations or a comparison exceeding its
-bound, 3 solver non-convergence.
+another problem), 2 validation violations on [0, l_max] or a comparison
+exceeding its bound, 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -92,13 +92,15 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 2
 
 
-def _check_validated(problem) -> int | None:
-    report = validate(problem)
+class _Violations(Exception):
+    """validate found violations on the command's domain: exit 2."""
+
+
+def _validate_on(problem, grid: solver.GridParams):
+    """Validate over [0, l_max] of the grid, where the command evaluates f and ell."""
+    report = validate(problem, x_max=grid.l_max)
     if not report.ok:
-        for violation in report.violations:
-            print(f"violation: {violation}", file=sys.stderr)
-        return 2
-    return None
+        raise _Violations(report.violations)
 
 
 def _write_field(args, field, report, grid_line=True):
@@ -113,10 +115,8 @@ def _write_field(args, field, report, grid_line=True):
 
 def cmd_solve(args) -> int:
     problem = load_problem(args.spec)
-    bad = _check_validated(problem)
-    if bad is not None:
-        return bad
     grid = _grid(args)
+    _validate_on(problem, grid)
     field, report = solver.solve(
         problem, grid, tol=args.tol, max_iters=args.max_iters
     )
@@ -130,10 +130,8 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     problem = load_problem(args.spec)
-    bad = _check_validated(problem)
-    if bad is not None:
-        return bad
     grid = _grid(args)
+    _validate_on(problem, grid)
     solution = oracle_mod.oracle_solve(
         problem, grid, tol=args.tol, max_iters=args.max_iters
     )
@@ -155,22 +153,24 @@ def cmd_oracle(args) -> int:
     )
     # perfbench/run.py reads every line after the CSV header as a row of
     # three fields, so the oracle CSV has no grid line until the benchmark
-    # is revised (ROADMAP item 7).
+    # is revised (ROADMAP item 6).
     _write_field(args, field, report, grid_line=False)
     return 0 if solution.converged else 3
 
 
 def _load_field(path: str, problem=None) -> solver.ValueField:
-    """Read a field file; with problem given, reject a field that states it
-    was solved for another problem."""
+    """Read a field file; with problem given, validate the problem over the
+    field's domain, then reject a field that states it was solved for
+    another problem."""
     text = Path(path).read_text(encoding="utf-8")
     if path.endswith(".json"):
         field = solver.field_from_json(text)
     else:
         field = solver.field_from_csv(text)
-    if problem is not None and field.digest is not None:
+    if problem is not None:
+        _validate_on(problem, field.grid)
         digest = solver.problem_digest(problem)
-        if field.digest != digest:
+        if field.digest not in (None, digest):
             raise ValueError(
                 f"{path} was solved for another problem "
                 f"(digest {field.digest}, this problem's is {digest})"
@@ -180,9 +180,6 @@ def _load_field(path: str, problem=None) -> solver.ValueField:
 
 def cmd_simulate(args) -> int:
     problem = load_problem(args.spec)
-    bad = _check_validated(problem)
-    if bad is not None:
-        return bad
     field = _load_field(args.field, problem)
     edge_text, _, s_text = args.x0.partition(",")
     x0 = NetworkPoint(int(edge_text), float(s_text))
@@ -211,9 +208,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_residual(args) -> int:
     problem = load_problem(args.spec)
-    bad = _check_validated(problem)
-    if bad is not None:
-        return bad
     field = _load_field(args.field, problem)
     grid = field.grid
     if args.dt is not None:
@@ -339,6 +333,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _Violations as exc:
+        for violation in exc.args[0]:
+            print(f"violation: {violation}", file=sys.stderr)
+        return 2
     except (SpecError, ExprError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -287,24 +287,16 @@ def parse_problem(text: str) -> Problem:
         lam = float(lam_text)
     except ValueError:
         raise SpecError(f"line {lam_line}: bad number {lam_text!r} for lambda") from None
-    if lam <= 0:
-        raise SpecError(f"line {lam_line}: lambda must be positive")
 
+    # The values are checked by the constructors; the parser adds the line.
     regime_text, regime_line = header["regime"]
-    if regime_text not in ("entry", "exit"):
-        raise SpecError(f"line {regime_line}: regime must be 'entry' or 'exit'")
     costs_text, costs_line = header["costs"]
+    _construct(regime_line, CostRegime, regime_text, ())  # the kind alone
     costs = _parse_floats(costs_text, costs_line, "costs")
-    for c in costs:
-        if c < 0 or not math.isfinite(c):
-            raise SpecError(f"line {costs_line}: costs must be finite and >= 0")
-
-    if len(edge_blocks) < 2:
-        raise SpecError(f"need at least 2 [edge] blocks, found {len(edge_blocks)}")
-    if len(costs) != len(edge_blocks):
-        raise SpecError(
-            f"line {costs_line}: {len(costs)} costs for {len(edge_blocks)} edge blocks"
-        )
+    regime = _construct(costs_line, CostRegime, regime_text, costs)
+    junction = _construct(None, Junction, len(edge_blocks))
+    if len(costs) != junction.n_edges:  # as Problem does, in the file's terms
+        raise SpecError(f"line {costs_line}: {len(costs)} costs for {junction.n_edges} edge blocks")
 
     edges = []
     for index, block in enumerate(edge_blocks, start=1):
@@ -312,27 +304,22 @@ def parse_problem(text: str) -> Problem:
             if key not in block:
                 raise SpecError(f"edge {index}: missing {key!r} line")
         controls_text, controls_line = block["controls"]
-        controls = _parse_floats(controls_text, controls_line, "controls")
-        if any(b <= a for a, b in zip(controls, controls[1:])):
-            raise SpecError(
-                f"line {controls_line}: controls must be strictly increasing"
-            )
         f_text, f_line = block["f"]
         ell_text, ell_line = block["ell"]
-        edges.append(
-            EdgeSpec(
-                controls=controls,
-                velocity=_parse_expression(f_text, f_line, "f"),
-                running_cost=_parse_expression(ell_text, ell_line, "ell"),
-            )
-        )
+        controls = _parse_floats(controls_text, controls_line, "controls")
+        velocity = _parse_expression(f_text, f_line, "f")
+        running_cost = _parse_expression(ell_text, ell_line, "ell")
+        edges.append(_construct(controls_line, EdgeSpec, controls, velocity, running_cost))
+    return _construct(lam_line, Problem, junction, tuple(edges), lam, regime)
 
-    return Problem(
-        junction=Junction(len(edges)),
-        edges=tuple(edges),
-        lam=lam,
-        regime=CostRegime(regime_text, costs),
-    )
+
+def _construct(lineno: int | None, make, *args):
+    """make(*args), its ValueError re-raised as a SpecError naming the line."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        where = "" if lineno is None else f"line {lineno}: "
+        raise SpecError(f"{where}{exc}") from None
 
 
 def format_problem(problem: Problem) -> str:
@@ -354,23 +341,43 @@ def format_problem(problem: Problem) -> str:
 # Assumption validation
 # ---------------------------------------------------------------------------
 
-def _sample_edges(problem: Problem, s: np.ndarray):
-    """f and ell of every edge at the points s for each control, as
-    (len(s), n_controls) pairs, and the sup of |f| and |ell| over all of
-    them.  Raises EvalError when a value is not finite."""
-    sampled = []
-    sup = 0.0
-    for label, spec in enumerate(problem.edges, start=1):
-        controls = np.asarray(spec.controls)
-        f = exprlang.evaluate_array(spec.velocity, s[:, None], controls[None, :])
-        ell = exprlang.evaluate_array(spec.running_cost, s[:, None], controls[None, :])
-        if not (np.isfinite(f).all() and np.isfinite(ell).all()):
+@dataclass(frozen=True)
+class EdgeSamples:
+    """f and ell of every edge at a set of points s, for each of its
+    controls, as (N, len(s), K) arrays for K the most controls of any edge.
+    The (N, K) mask real marks the columns that hold a control, each edge's
+    first ones; the rest is padding with f = 0 and ell = inf, so no minimum
+    over the columns picks it."""
+
+    f: np.ndarray
+    ell: np.ndarray
+    real: np.ndarray
+
+    def sup(self) -> float:
+        """The sup of |f| and |ell| over the controls; raises EvalError
+        naming the first edge with a value that is not finite."""
+        ell = np.where(self.real[:, None], self.ell, 0.0)
+        finite = np.isfinite(self.f).all(axis=(1, 2)) & np.isfinite(ell).all(axis=(1, 2))
+        if not finite.all():
             raise exprlang.EvalError(
-                f"edge {label}: non-finite dynamics or cost on the grid"
+                f"edge {int(finite.argmin()) + 1}: non-finite dynamics or cost on the grid"
             )
-        sup = max(sup, float(np.abs(f).max()), float(np.abs(ell).max()))
-        sampled.append((f, ell))
-    return sampled, sup
+        return float(max(np.abs(self.f).max(), np.abs(ell).max()))
+
+
+def _sample_edges(problem: Problem, s: np.ndarray) -> EdgeSamples:
+    """The sample table of f and ell at the points s: the only evaluation
+    of the problem data over a set of points, which the solver's scheme,
+    the oracle's MDP and validate all read.  Values that are not finite
+    stay in the table, for the reader to judge."""
+    counts = [len(spec.controls) for spec in problem.edges]
+    f = np.zeros((problem.n_edges, len(s), max(counts)))
+    ell = np.full(f.shape, np.inf)
+    for e, spec in enumerate(problem.edges):
+        controls = np.asarray(spec.controls)[None, :]
+        f[e, :, : counts[e]] = exprlang.evaluate_array(spec.velocity, s[:, None], controls)
+        ell[e, :, : counts[e]] = exprlang.evaluate_array(spec.running_cost, s[:, None], controls)
+    return EdgeSamples(f, ell, np.arange(f.shape[2]) < np.array(counts)[:, None])
 
 
 def validate(problem: Problem, samples: int = 101, x_max: float = 4.0) -> AssumptionReport:
@@ -383,46 +390,37 @@ def validate(problem: Problem, samples: int = 101, x_max: float = 4.0) -> Assump
     if samples < 2:
         raise ValueError("need at least 2 sample points")
     xs = np.linspace(0.0, x_max, samples)
-    dx = xs[1] - xs[0]
+    dx = float(xs[1] - xs[0])
+    table = _sample_edges(problem, xs)
+    # Padding reads as f = ell = 0 here, which no sup or slope picks.
+    f, ell = table.f, np.where(table.real[:, None], table.ell, 0.0)
+    f_ok, ell_ok = (np.isfinite(a).all(axis=(1, 2)) for a in (f, ell))
 
-    sup_bound = 0.0
-    f_lipschitz = 0.0
-    ell_slope = 0.0
+    def largest(values, ok) -> float:
+        """max |values| over the edges that are ok; 0 when none is."""
+        return float(np.abs(values).max(initial=0.0, where=ok[:, None, None]))
+
+    with np.errstate(all="ignore"):
+        sup_bound = max(largest(f, f_ok), largest(ell, ell_ok))
+        f_lipschitz = largest(np.diff(f, axis=1), f_ok) / dx
+        ell_slope = largest(np.diff(ell, axis=1), ell_ok) / dx
+
     margins = []
     violations: list[str] = []
-
-    for label, spec in enumerate(problem.edges, start=1):
-        controls = np.asarray(spec.controls)
-        f_vals = exprlang.evaluate_array(spec.velocity, xs[:, None], controls[None, :])
-        ell_vals = exprlang.evaluate_array(spec.running_cost, xs[:, None], controls[None, :])
-
-        f_ok = np.isfinite(f_vals).all()
-        ell_ok = np.isfinite(ell_vals).all()
-        if not f_ok:
-            violations.append(f"[H1]: non-finite dynamics f on edge {label}")
-        if not ell_ok:
-            violations.append(f"[H2]: non-finite running cost ell on edge {label}")
-
-        with np.errstate(all="ignore"):
-            if f_ok:
-                sup_bound = max(sup_bound, float(np.abs(f_vals).max()))
-                f_lipschitz = max(
-                    f_lipschitz, float(np.abs(np.diff(f_vals, axis=0)).max() / dx)
-                )
-            if ell_ok:
-                sup_bound = max(sup_bound, float(np.abs(ell_vals).max()))
-                ell_slope = max(
-                    ell_slope, float(np.abs(np.diff(ell_vals, axis=0)).max() / dx)
-                )
-
-        if f_ok and ell_ok:
-            f_origin = f_vals[0]
-            margin_i = float(min(f_origin.max(), -f_origin.min()))
-            margins.append(margin_i)
-            if margin_i <= 0:
-                violations.append(f"[H4]: delta <= 0 on edge {label}")
-        else:
+    for e in range(problem.n_edges):
+        if not f_ok[e]:
+            violations.append(f"[H1]: non-finite dynamics f on edge {e + 1}")
+        if not ell_ok[e]:
+            violations.append(f"[H2]: non-finite running cost ell on edge {e + 1}")
+        if not (f_ok[e] and ell_ok[e]):
             margins.append(float("-inf"))
+            continue
+        # The edge's own controls only: a padded f = 0 would pull a
+        # one-sided edge's margin to 0.
+        f_origin = f[e, 0, table.real[e]]
+        margins.append(float(min(f_origin.max(), -f_origin.min())))
+        if margins[-1] <= 0:
+            violations.append(f"[H4]: delta <= 0 on edge {e + 1}")
 
     return AssumptionReport(
         sup_bound=sup_bound,

@@ -288,77 +288,49 @@ class OracleSolution:
 
 
 def _snapped_mdp(problem: Problem, grid: GridParams):
-    """The snapped MDP's actions, per edge and at the vertex.
+    """The snapped MDP as one table of actions, read off the sample table.
 
-    Returns (stage, next_idx, hold_stages, sup).  stage[e] and next_idx[e]
-    are (n_nodes, n_controls) arrays of the cost and the successor state of
-    each control of edge e at each node; row 0 holds the moves from the
-    vertex into edge e, with cost inf for inward controls.  State 0 is the
-    vertex and node m >= 1 of edge e is state e * n_intervals + m.
-    hold_stages are the vertex's self-loop costs, and sup bounds |f| and
-    |ell| on the grid.
+    Returns (cost, succ, sup): the (n_states, n_actions) cost and successor
+    state of every action, padded with cost inf, and the bound sup on |f|
+    and |ell|.  State 0 is the vertex, with every edge's controls (cost inf
+    for inward ones) edge by edge, then the hold self-loops; node m >= 1 of
+    edge e is state e * n_intervals + m, with its edge's controls.
     """
     n = grid.n_intervals
     h, dt = grid.h, grid.dt
-    entry = problem.regime.kind == "entry"
-    costs = problem.regime.costs
-    hold_stages = []
-    for actions in vertex_data(problem).edges:
-        stationary = [a.cost for a in actions if a.velocity == 0.0]
-        if stationary:
-            hold_stages.append(dt * min(stationary))
+    s = grid.nodes
+    table = _sample_edges(problem, s)
+    sup = table.sup()
+    snapped = np.rint(np.clip(s[:, None] + dt * table.f, 0.0, grid.l_max) / h).astype(int)
+    succ = np.where(snapped == 0, 0, n * np.arange(problem.n_edges)[:, None, None] + snapped)
+    costs = np.asarray(problem.regime.costs)[:, None, None]
+    came_from_inside = (s > 0.0)[:, None]
+    if problem.regime.kind == "entry":
+        # Leaving the vertex into an edge charges its entry cost.
+        charged = ~came_from_inside & (snapped >= 1)
+    else:
+        # Hitting the vertex from inside an edge charges its exit cost.
+        charged = came_from_inside & (snapped == 0)
+    cost = dt * table.ell + np.where(charged, costs, 0.0)
+    # At the vertex, inward-pointing controls are infeasible: a state can
+    # only remain at O with zero velocity (the hold actions), so an
+    # artificial clipped hold at f < 0 must not be offered.
+    cost[:, 0] = np.where(table.f[:, 0] < 0.0, np.inf, cost[:, 0])
+    holds = [
+        dt * min(stationary)
+        for actions in vertex_data(problem).edges
+        if (stationary := [a.cost for a in actions if a.velocity == 0.0])
+    ]
 
-    def gidx(e: int, m: np.ndarray) -> np.ndarray:
-        # Global state index: 0 is the vertex, then edge e's nodes 1..n.
-        return np.where(m == 0, 0, e * n + m)
-
-    next_idx: list[np.ndarray] = []
-    stage: list[np.ndarray] = []
-    s_nodes = grid.nodes
-    sampled, sup = _sample_edges(problem, s_nodes)
-    for e, (f, ell) in enumerate(sampled):
-        feet = np.clip(s_nodes[:, None] + dt * f, 0.0, grid.l_max)
-        snapped = np.rint(feet / h).astype(int)
-        cost_grid = dt * ell
-        came_from_inside = s_nodes[:, None] > 0.0
-        if entry:
-            # Leaving the vertex into this edge charges the entry cost.
-            cost_grid = cost_grid + np.where(
-                (~came_from_inside) & (snapped >= 1), costs[e], 0.0
-            )
-        else:
-            # Hitting the vertex from inside this edge charges the exit cost.
-            cost_grid = cost_grid + np.where(
-                came_from_inside & (snapped == 0), costs[e], 0.0
-            )
-        # At the vertex, inward-pointing controls are infeasible: a state can
-        # only remain at O with zero velocity (the hold actions), so an
-        # artificial clipped hold at f < 0 must not be offered.
-        cost_grid[0, :] = np.where(f[0, :] < 0.0, np.inf, cost_grid[0, :])
-        next_idx.append(gidx(e, snapped))
-        stage.append(cost_grid)
-    return stage, next_idx, hold_stages, sup
-
-
-def _action_table(stage, next_idx, hold_stages):
-    """Stack the per-edge actions into one (n_states, n_actions) table of
-    costs and one of successors, padded with inf.  The vertex row holds
-    every edge's moves from the vertex, then the hold self-loops."""
-    n = stage[0].shape[0] - 1
-    n_vertex = sum(c.shape[1] for c in stage) + len(hold_stages)
-    width = max(n_vertex, max(c.shape[1] for c in stage))
-    cost = np.full((1 + len(stage) * n, width), np.inf)
-    succ = np.zeros(cost.shape, dtype=int)
-    col = 0
-    for e, (c, nx) in enumerate(zip(stage, next_idx)):
-        k = c.shape[1]
-        cost[1 + e * n : 1 + (e + 1) * n, :k] = c[1:]
-        succ[1 + e * n : 1 + (e + 1) * n, :k] = nx[1:]
-        cost[0, col : col + k] = c[0]
-        succ[0, col : col + k] = nx[0]
-        col += k
-    cost[0, col : col + len(hold_stages)] = hold_stages
-    return cost, succ
+    moves = cost[:, 0][table.real]  # each edge's controls, edge by edge
+    n_controls = cost.shape[2]
+    out_cost = np.full((1 + n * problem.n_edges, max(moves.size + len(holds), n_controls)), np.inf)
+    out_succ = np.zeros(out_cost.shape, dtype=int)
+    out_cost[1:, :n_controls] = cost[:, 1:].reshape(-1, n_controls)
+    out_succ[1:, :n_controls] = succ[:, 1:].reshape(-1, n_controls)
+    out_cost[0, : moves.size + len(holds)] = np.append(moves, holds)
+    out_succ[0, : moves.size] = succ[:, 0][table.real]
+    return out_cost, out_succ, sup
 
 
 def _path_sums(cost: np.ndarray, succ: np.ndarray, beta: float, rounds: int):
@@ -404,8 +376,7 @@ def oracle_solve(
     n = grid.n_intervals
     lam, dt = problem.lam, grid.dt
     beta = math.exp(-lam * dt)
-    stage, next_idx, hold_stages, sup = _snapped_mdp(problem, grid)
-    cost, succ = _action_table(stage, next_idx, hold_stages)
+    cost, succ, sup = _snapped_mdp(problem, grid)
 
     if max_iters is None:
         bound = sup / lam + float(sum(problem.regime.costs))
@@ -437,12 +408,8 @@ def oracle_solve(
             break
         action = improved
 
-    per_edge = []
-    for e in range(problem.n_edges):
-        u = np.empty(n + 1)
-        u[0] = values[0]
-        u[1:] = values[e * n + 1 : (e + 1) * n + 1]
-        per_edge.append(u)
+    # The vertex state's value heads every edge's row.
+    per_edge = np.insert(values[1:].reshape(problem.n_edges, n), 0, values[0], axis=1)
     return OracleSolution(
         values=tuple(per_edge),
         vertex_value=float(values[0]),

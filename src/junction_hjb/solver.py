@@ -70,7 +70,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import VertexData, vertex_data
-from .model import Problem, _sample_edges, format_problem
+from .model import EdgeSamples, Problem, _sample_edges, format_problem
 
 __all__ = [
     "GridParams",
@@ -159,23 +159,23 @@ class DiscreteSystem:
     workers = 1
 
     def __init__(self, problem: Problem, grid: GridParams):
-        sampled, _ = _sample_edges(problem, grid.nodes)
-        self._build(problem, grid, vertex_data(problem), sampled)
+        self._build(problem, grid, vertex_data(problem), _sample_edges(problem, grid.nodes))
 
     def _coarser(self) -> "DiscreteSystem":
         """The system on the grid with h and dt doubled.  It shares this
         system's vertex data, which does not depend on the grid, and takes
-        every other node's f and ell samples: node k of the coarse grid is
-        node 2k of this one, the same double."""
+        every other node's row of the sample table: node k of the coarse
+        grid is node 2k of this one, the same double."""
         grid = GridParams(h=2 * self.grid.h, l_max=self.grid.l_max, dt=2 * self.grid.dt)
         coarse = DiscreteSystem.__new__(DiscreteSystem)
-        sampled = [(f[::2], ell[::2]) for f, ell in self._sampled]
-        coarse._build(self.problem, grid, self.vertex, sampled)
+        t = self.samples
+        coarse._build(self.problem, grid, self.vertex, replace(t, f=t.f[:, ::2], ell=t.ell[:, ::2]))
         return coarse
 
-    def _build(self, problem: Problem, grid: GridParams, vertex: VertexData, sampled):
-        """sampled holds each edge's f and ell at the grid's nodes, as
-        (n+1, n_controls) arrays."""
+    def _build(self, problem: Problem, grid: GridParams, vertex: VertexData, samples: EdgeSamples):
+        """samples is the sample table at the grid's nodes, whose padding
+        gives an infinite stage cost.  Each level checks dt against its own
+        table's sup, and the ValueError ends the ladder."""
         self.problem = problem
         self.grid = grid
         self.beta = math.exp(-problem.lam * grid.dt)
@@ -184,25 +184,17 @@ class DiscreteSystem:
         self.n_nodes = grid.n_intervals + 1
         n_edges = problem.n_edges
 
-        s = grid.nodes
-        self._sampled = sampled
-        sup = float(max(max(np.abs(f).max(), np.abs(ell).max()) for f, ell in sampled))
+        self.samples = samples
+        sup = samples.sup()
         if grid.dt * sup > grid.l_max / 4:
             raise ValueError(f"dt too large: dt * bound = {grid.dt * sup:g} exceeds l_max/4")
         self.sup_bound = sup
         self.value_bound = sup / problem.lam + float(sum(problem.regime.costs))
 
-        # Interior data as (N, n+1, K) arrays for K = the most controls of
-        # any edge; an edge with fewer has its rows padded with an infinite
-        # stage cost, so no minimum picks the padding.
-        counts = [f.shape[1] for f, _ in sampled]
-        f = np.zeros((n_edges, self.n_nodes, max(counts)))
-        ell = np.full(f.shape, np.inf)
-        for e, (f_e, ell_e) in enumerate(sampled):
-            f[e, :, : counts[e]] = f_e
-            ell[e, :, : counts[e]] = ell_e
-        self.interior_lo, self.interior_w = self._foot_weights(s[:, None] + grid.dt * f)
-        self.interior_stage = grid.dt * ell
+        # Interior data as (N, n+1, K) arrays, one column per control.
+        s = grid.nodes
+        self.interior_lo, self.interior_w = self._foot_weights(s[:, None] + grid.dt * samples.f)
+        self.interior_stage = grid.dt * samples.ell
         # The same lower nodes as indices into field.values.ravel().
         offsets = self.n_nodes * np.arange(n_edges)
         self.interior_at = self.interior_lo + offsets[:, None, None]
@@ -235,7 +227,7 @@ class DiscreteSystem:
         # Per-edge views, unused here; kept, as workers is, because
         # perfbench/run.py --trace 1 concatenates them to count sweep bytes.
         self.foot_lo, self.foot_w, self.stage = (
-            [a[e, :, :k] for e, k in enumerate(counts)]
+            [a[e, :, :k] for e, k in enumerate(samples.real.sum(axis=1))]
             for a in (self.interior_lo, self.interior_w, self.interior_stage)
         )
         cut = np.searchsorted(self.pair_edge, np.arange(1, n_edges))

@@ -258,6 +258,29 @@ def test_simulate_invalid_problem_exit_2(tmp_path, capsys):
     assert "violation:" in capsys.readouterr().err
 
 
+def test_grid_commands_validate_the_domain_they_run_on(tmp_path, capsys):
+    # ell = 1 / (x - 5) is finite on validate's default [0, 4] but not at
+    # x = 5, which a grid with l_max = 5 samples: the grid commands report
+    # that as an [H2] violation instead of failing inside the scheme.
+    bad = tmp_path / "bad.spec"
+    bad.write_text(builtin_spec("entry-basic").replace("ell = 1 - a", "ell = 1 / (x - 5)"))
+    assert main(["validate", str(bad)]) == 0
+    for command in ("solve", "oracle"):
+        capsys.readouterr()
+        assert main([command, str(bad), "--lmax", "5"]) == 2
+        assert "violation: [H2]: non-finite running cost ell on edge 2" in capsys.readouterr().err
+    # simulate and residual validate over the field's grid.
+    spec = _write_spec(tmp_path)
+    for lmax, code in (("5", 2), ("4", 1)):
+        field = tmp_path / f"field{lmax}.csv"
+        assert main(["solve", spec, "--lmax", lmax, "--out", str(field)]) == 0
+        for extra in (["simulate", "--x0", "1,0.5"], ["residual"]):
+            capsys.readouterr()
+            argv = [extra[0], str(bad), "--field", str(field)] + extra[1:]
+            assert main(argv) == code
+            assert ("[H2]" in capsys.readouterr().err) == (code == 2)
+
+
 def test_solve_reports_level_iterations(tmp_path, capsys):
     import json
 

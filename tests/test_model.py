@@ -1,11 +1,17 @@
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import junction_hjb as jh
 from junction_hjb.model import (
     CostRegime,
+    EdgeSpec,
     Junction,
     NetworkPoint,
+    Problem,
     SpecError,
     format_problem,
     geodesic_distance,
@@ -41,6 +47,11 @@ def test_load_benchmark_problem(tmp_path):
 def test_lambda_must_be_positive():
     with pytest.raises(SpecError, match="lambda must be positive"):
         parse_problem(BASIC.replace("lambda = 1.0", "lambda = 0"))
+    # Non-finite rates too, as a SpecError naming the line, so that
+    # load_problem raises only SpecError or OSError.
+    for text in ("inf", "nan", "-1"):
+        with pytest.raises(SpecError, match="^line 1: lambda must be positive"):
+            parse_problem(BASIC.replace("lambda = 1.0", f"lambda = {text}"))
 
 
 @pytest.mark.parametrize(
@@ -133,6 +144,7 @@ def test_validate_one_sided_controls():
     )
     report = validate(parse_problem(text))
     assert any("[H4]" in v and "edge 1" in v for v in report.violations)
+    assert report.margin == -1.0
 
 
 def test_validate_degenerate_velocity_at_origin():
@@ -170,19 +182,69 @@ def test_validate_monotone_under_refinement():
     assert fine.ell_slope >= coarse.ell_slope - 1e-12
 
 
+def _scalar_report(problem, samples=101, x_max=4.0):
+    """sup_bound, f_lipschitz, ell_slope and margin of validate, edge by
+    edge and point by point with the scalar evaluator."""
+    from junction_hjb import exprlang
+
+    xs = np.linspace(0.0, x_max, samples)
+    sup = lipschitz = slope = 0.0
+    margin = math.inf
+    for spec in problem.edges:
+        f, ell = (
+            np.array([[exprlang.evaluate(expr, x, a) for a in spec.controls] for x in xs])
+            for expr in (spec.velocity, spec.running_cost)
+        )
+        sup = max(sup, np.abs(f).max(), np.abs(ell).max())
+        lipschitz = max(lipschitz, np.abs(np.diff(f, axis=0)).max() / (xs[1] - xs[0]))
+        slope = max(slope, np.abs(np.diff(ell, axis=0)).max() / (xs[1] - xs[0]))
+        margin = min(margin, f[0].max(), -f[0].min())
+    return sup, lipschitz, slope, margin
+
+
 def test_validate_margin_formula():
     rng = np.random.default_rng(3)
     from conftest import make_random_problem
-    from junction_hjb import exprlang
 
+    problems = [make_random_problem(rng) for _ in range(5)]
+    # Edges of 1 to 5 controls, one of them one-sided, so that the sample
+    # table pads the shorter edges and the margin is negative.
     for _ in range(5):
-        p = make_random_problem(rng)
+        base = make_random_problem(rng)
+        edges = []
+        for e, spec in enumerate(base.edges):
+            pool = [-1.0, -0.8, -0.6, 0.0, 0.7, 0.9, 1.0]
+            controls = rng.choice(pool, rng.integers(1, 6), replace=False)
+            if e == 0:
+                controls = np.abs(controls) + 0.5
+            controls = tuple(sorted(set(controls.tolist())))
+            edges.append(EdgeSpec(controls, spec.velocity, spec.running_cost))
+        problems.append(Problem(base.junction, tuple(edges), base.lam, base.regime))
+
+    for p in problems:
         report = validate(p)
-        expected = min(
-            min(
-                max(exprlang.evaluate(spec.velocity, 0.0, a) for a in spec.controls),
-                -min(exprlang.evaluate(spec.velocity, 0.0, a) for a in spec.controls),
-            )
-            for spec in p.edges
-        )
-        assert report.margin == pytest.approx(expected)
+        expected = _scalar_report(p)
+        got = (report.sup_bound, report.f_lipschitz, report.ell_slope, report.margin)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert min(p.margin for p in map(validate, problems[5:])) < 0
+
+
+def test_only_the_sample_table_evaluates_over_arrays():
+    # f and ell are evaluated over a set of points in one place, model's
+    # sample table, which the solver, the oracle's MDP and validate read.
+    # connect's leg quadrature is the one exception: it evaluates at points
+    # it picks per leg.
+    package = Path(jh.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "exprlang":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                if name == "evaluate_array":
+                    callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("model", "_sample_edges"), ("oracle", "connect")}

@@ -579,22 +579,16 @@ HULL_ONLY = (
 
 
 def _value_iteration(problem, grid, stop):
-    """Plain value iteration on the oracle's MDP tables until one sweep
+    """Plain value iteration on the oracle's MDP table until one sweep
     moves the values by at most stop; returns the per-edge values and the
     distance bound to the fixed point."""
     n = grid.n_intervals
     beta = math.exp(-problem.lam * grid.dt)
-    stage, next_idx, hold_stages, _ = _snapped_mdp(problem, grid)
-    values = np.zeros(1 + problem.n_edges * n)
+    cost, succ, _ = _snapped_mdp(problem, grid)
+    values = np.zeros(cost.shape[0])
     change = math.inf
     while change > stop:
-        new = np.empty_like(values)
-        vertex = [hold + beta * values[0] for hold in hold_stages]
-        for e in range(problem.n_edges):
-            best = (stage[e] + beta * values[next_idx[e]]).min(axis=1)
-            new[e * n + 1 : (e + 1) * n + 1] = best[1:]
-            vertex.append(best[0])
-        new[0] = min(vertex)
+        new = (cost + beta * values[succ]).min(axis=1)
         change = float(np.abs(new - values).max())
         values = new
     per_edge = [np.concatenate(([values[0]], values[e * n + 1 : (e + 1) * n + 1]))
@@ -641,6 +635,15 @@ def test_oracle_matches_value_iteration(seed, kind, zero_cost, hull_only, dt_cel
     reference, vi_error = _value_iteration(problem, grid, 1e-13)
     gap = max(float(np.abs(u - v).max()) for u, v in zip(sol.values, reference))
     assert gap <= tol + vi_error
+    # The vertex row holds each edge's own controls and one hold per edge
+    # that can stay at O, not every edge padded to the longest list.
+    cost, _, _ = _snapped_mdp(problem, grid)
+    counts = [len(spec.controls) for spec in problem.edges]
+    n_holds = sum(
+        any(a.velocity == 0.0 for a in actions) for actions in jh.vertex_data(problem).edges
+    )
+    width = max(sum(counts) + n_holds, max(counts))
+    assert cost.shape == (1 + problem.n_edges * grid.n_intervals, width)
     if hull_only:
         # Parking forever at the hull point is one of the MDP's policies.
         zero_min = min(

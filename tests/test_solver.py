@@ -424,7 +424,8 @@ def _reference_system(problem, grid, system):
     """Per-edge data of the update, built edge by edge as before stacking;
     system supplies only the foot clipping and the parking value."""
     s = grid.nodes
-    sampled, _ = _sample_edges(problem, s)
+    table = _sample_edges(problem, s)
+    sampled = [(table.f[e][:, real], table.ell[e][:, real]) for e, real in enumerate(table.real)]
     feet = [system._foot_weights(s[:, None] + grid.dt * f) for f, _ in sampled]
     stage = [grid.dt * ell for _, ell in sampled]
     pairs = [

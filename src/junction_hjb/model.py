@@ -38,6 +38,7 @@ stand-ins for the standing hypotheses the solver relies on:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -169,6 +170,18 @@ class Problem:
             raise ValueError("edge list length must equal the junction's edge count")
         if len(self.regime.costs) != self.junction.n_edges:
             raise ValueError("cost list length must equal the junction's edge count")
+
+    # The dataclass field hash walks every expression tree; a Problem is
+    # frozen, so it is computed once per instance and kept in its __dict__.
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.junction, self.edges, self.lam, self.regime))
+
+    def __hash__(self):
+        return self._hash
+
+    def __getstate__(self):  # string hashes differ between processes
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
 
     @property
     def n_edges(self) -> int:

@@ -492,11 +492,19 @@ def connect(
 # Greedy feedback simulation
 # ---------------------------------------------------------------------------
 
-def _interp(u: np.ndarray, grid: GridParams, s: float) -> float:
-    pos = min(max(s, 0.0), grid.l_max) / grid.h
-    lo = min(int(pos), u.size - 2)
-    w = min(max(pos - lo, 0.0), 1.0)
-    return float(u[lo] * (1.0 - w) + u[lo + 1] * w)
+def _interp(u: list[float], grid: GridParams, s: float) -> float:
+    """Linear interpolation of one field row u, read as Python floats, at s
+    clipped into [0, l_max] as the scheme clips its feet.  At or beyond the
+    last node it takes the last node's value: l_max / h may round just above
+    the interval count."""
+    s = 0.0 if s < 0.0 else grid.l_max if s > grid.l_max else s
+    pos = s / grid.h
+    lo = int(pos)
+    if lo < len(u) - 1:
+        w = pos - lo
+    else:
+        lo, w = len(u) - 2, 1.0
+    return u[lo] * (1.0 - w) + u[lo + 1] * w
 
 
 def simulate(
@@ -508,18 +516,20 @@ def simulate(
 ) -> Trajectory:
     """Roll out the greedy one-step policy of a converged field.
 
-    At interior points the control minimizes the one-step Bellman
-    right-hand side.  Within h/2 of the vertex (h the field's grid step)
-    the state snaps onto O and takes the first cheapest of one list built
-    once: leaving O into each edge j, the current one included, along each
-    of its vertex_data actions with v > 0, priced at the charge the path
-    recorder makes for it (_Path.leaving_charge) plus the step's cost and
-    the discounted field value after it; then parking at the vertex
-    forever on the cheapest stationary action, priced analytically and
-    recorded as one schedule piece: its sampled control, or its pair and
-    theta as one relaxed piece, which evaluate_cost replays.  Holding
-    at O and leaving later is never strictly better than leaving now or
-    parking, so no move has v = 0.
+    At interior points the control is the first that minimizes the one-step
+    Bellman right-hand side dt*ell + beta*u(s + dt*f): the field is read
+    once per rollout as Python floats and interpolated linearly at the foot
+    clipped into [0, l_max], as the scheme's feet are.  Within h/2 of the
+    vertex (h the field's grid step) the state snaps onto O and takes the
+    first cheapest of one list built once: leaving O into each edge j, the
+    current one included, along each of its vertex_data actions with v > 0,
+    priced at the charge the path recorder makes for it
+    (_Path.leaving_charge) plus the step's cost and the discounted field
+    value after it; then parking at the vertex forever on the cheapest
+    stationary action, priced analytically and recorded as one schedule
+    piece: its sampled control, or its pair and theta as one relaxed piece,
+    which evaluate_cost replays.  Holding at O and leaving later is never
+    strictly better than leaving now or parking, so no move has v = 0.
 
     The rollout simulates the truncated model the field was solved for:
     like the scheme's feet, an Euler step that would pass the field's l_max
@@ -573,12 +583,14 @@ def simulate(
         else:
             runs.append([key, duration])
 
+    values = field.values.tolist()
     # The vertex candidates (value, edge, control, (f, ell)): every move off
-    # O, then parking, so that a move wins a tie.
+    # O, then parking, so that a move wins a tie.  They do not depend on the
+    # state, so the first cheapest is the vertex choice of every step.
     moves = [
         (
             path.leaving_charge(j) + dt * act.cost
-            + beta * _interp(field.values[j - 1], grid, dt * act.velocity),
+            + beta * _interp(values[j - 1], grid, dt * act.velocity),
             j, problem.edge(j).controls[act.controls[0]], (act.velocity, act.cost),
         )
         for j in problem.junction.edge_labels
@@ -586,23 +598,27 @@ def simulate(
         if act.velocity > 0.0
     ]
     moves.append((stall.cost / lam, None, None, None))
+    _, *at_vertex = min(moves, key=lambda item: item[0])
 
+    evaluate = exprlang.evaluate
     h_snap = grid.h / 2
     n_steps = int(round(horizon / dt))
     for _ in range(n_steps):
         edge, s = path.edge, path.s
         if s <= h_snap:
             path.snap()
-            candidates = moves
+            edge, a, first = at_vertex
         else:
-            spec = problem.edge(edge)
-            candidates = []
-            for a in spec.controls:
-                f = exprlang.evaluate(spec.velocity, s, a)
-                ell = exprlang.evaluate(spec.running_cost, s, a)
-                value = dt * ell + beta * _interp(field.values[edge - 1], grid, s + dt * f)
-                candidates.append((value, edge, a, (f, ell)))
-        _, edge, a, first = min(candidates, key=lambda item: item[0])
+            # The first control with the least one-step Bellman value.
+            spec = problem.edges[edge - 1]
+            u = values[edge - 1]
+            best = None
+            for b in spec.controls:
+                f = evaluate(spec.velocity, s, b)
+                ell = evaluate(spec.running_cost, s, b)
+                value = dt * ell + beta * _interp(u, grid, s + dt * f)
+                if best is None or value < best:
+                    best, a, first = value, b, (f, ell)
 
         if edge is None:
             # Park forever: accumulate the stationary action's discounted
@@ -633,10 +649,9 @@ def simulate(
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     lines = ["t,edge,s,accumulated_cost"]
-    for t, e, s, c in zip(traj.times, traj.edges, traj.positions, traj.accumulated):
-        lines.append(
-            f"{format(t, '.9g')},{e},{format(s, '.9g')},{format(c, '.9g')}"
-        )
+    columns = (traj.times, traj.edges, traj.positions, traj.accumulated)
+    for t, e, s, c in zip(*(column.tolist() for column in columns)):
+        lines.append(f"{t:.9g},{e},{s:.9g},{c:.9g}")
     return "\n".join(lines) + "\n"
 
 

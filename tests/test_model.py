@@ -1,5 +1,6 @@
 import ast
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,18 @@ def test_dump_round_trip():
     p = parse_problem(text)
     dumped = format_problem(p)
     assert format_problem(parse_problem(dumped)) == dumped
+
+
+def test_problem_hash_is_the_field_hash_kept_per_instance():
+    # Equal problems built apart hash equal, with the dataclass field hash;
+    # a pickled copy leaves the kept hash behind and computes its own.
+    one, two = parse_problem(BASIC), parse_problem(BASIC)
+    assert one is not two and one == two
+    assert hash(one) == hash(two) == hash((one.junction, one.edges, one.lam, one.regime))
+    copy = pickle.loads(pickle.dumps(one))
+    assert "_hash" in vars(one) and "_hash" not in vars(copy)
+    assert copy == one and hash(copy) == hash(one)
+    assert parse_problem(BASIC.replace("0.5", "0.25")) != one
 
 
 def test_junction_needs_two_edges():

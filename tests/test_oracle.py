@@ -15,6 +15,7 @@ from junction_hjb.model import CostRegime, NetworkPoint, Problem, parse_problem
 from junction_hjb.oracle import (
     ControlSchedule,
     SchedulePiece,
+    Trajectory,
     _snapped_mdp,
     connect,
     evaluate_cost,
@@ -678,3 +679,151 @@ def test_oracle_imports_only_containers_from_solver():
         elif isinstance(node, ast.Import):
             assert not any(a.name.endswith("solver") for a in node.names)
     assert sorted(taken) == ["GridParams", "ValueField"]
+
+
+def test_connect_hashes_the_problem_once(monkeypatch):
+    # connect looks its validation report up in a cache keyed on the
+    # Problem, whose hash walks every expression tree: it is computed once
+    # per instance, not once per lookup.
+    problem = jh.builtin_problem("entry-basic")
+    edge_hash = type(problem.edges[0]).__hash__
+    hashed = []
+    monkeypatch.setattr(
+        type(problem.edges[0]), "__hash__", lambda spec: hashed.append(spec) or edge_hash(spec)
+    )
+    for k in range(100):
+        connect(problem, NetworkPoint(1, 0.005 * k), NetworkPoint(2, 0.5))
+    assert len(hashed) <= problem.n_edges
+
+
+def _numpy_interp(u: np.ndarray, grid: GridParams, s: float) -> float:
+    """The interpolation rule as it stood on numpy rows."""
+    pos = min(max(s, 0.0), grid.l_max) / grid.h
+    lo = min(int(pos), u.size - 2)
+    w = min(max(pos - lo, 0.0), 1.0)
+    return float(u[lo] * (1.0 - w) + u[lo + 1] * w)
+
+
+@pytest.mark.parametrize("name, h, l_max", [
+    ("entry-basic", 0.01, 4.0),
+    ("random-0", 0.01, 4.0),
+    # 2.345 / 0.005 rounds to 469.00000000000006, just above the interval
+    # count: at l_max the weight of the last cell is held at 1.
+    ("random-0", 0.005, 2.345),
+])
+def test_interp_matches_the_numpy_formula_bitwise(name, h, l_max):
+    if name == "entry-basic":
+        problem = jh.builtin_problem(name)
+    else:
+        problem = make_random_problem(np.random.default_rng(20260810))
+    grid = GridParams(h=h, l_max=l_max, dt=h)
+    field, _ = jh.solve(problem, grid)
+    nodes = grid.nodes
+    points = np.concatenate([
+        np.linspace(-1.0, l_max + 1.0, 2001),
+        nodes,
+        np.nextafter(nodes, -np.inf),
+        [l_max, np.nextafter(l_max, np.inf), np.nextafter(l_max, -np.inf), -0.0],
+    ]).tolist()
+    for row, values in zip(field.values, field.values.tolist()):
+        for s in points:
+            expected = _numpy_interp(row, grid, s)
+            got = oracle._interp(values, grid, s)
+            assert type(got) is float
+            assert got == expected and math.copysign(1, got) == math.copysign(1, expected), s
+
+
+def _controls_per_step(traj: Trajectory, horizon: float, dt: float):
+    """The (edge, control) of each Euler step, read off the schedule: a
+    piece of duration k*dt holds k steps; a park ends the rollout early
+    with one more sample and is not a step."""
+    n_steps = round(horizon / dt)
+    steps = len(traj.times) - 1 - (len(traj.times) != n_steps + 1)
+    per_step = []
+    for piece in traj.schedule.pieces:
+        per_step += [(piece.edge, piece.control)] * round(piece.duration / dt)
+    return per_step[:steps]
+
+
+def test_simulate_takes_a_least_bellman_value_control_at_interior_steps(fine_grid):
+    # At every step that starts beyond h/2 of the vertex, the control the
+    # rollout took attains the least one-step Bellman value, computed here
+    # with np.interp on the clipped foot.
+    dt, horizon = fine_grid.dt, 5.0
+    beta = math.exp(-dt)
+    rng = np.random.default_rng(20260810)
+    checked = 0
+    for _ in range(4):
+        base = make_random_problem(rng)
+        for problem in (base, _exit_mirror(base)):
+            assert problem.lam == 1.0
+            field, _ = jh.solve(problem, fine_grid)
+            for edge in problem.junction.edge_labels:
+                for s0 in (0.3, 1.2, 2.6, 3.95):
+                    traj = simulate(problem, NetworkPoint(edge, s0), field, horizon, dt)
+                    for k, (e, a) in enumerate(_controls_per_step(traj, horizon, dt)):
+                        s = float(traj.positions[k])
+                        if s <= fine_grid.h / 2:
+                            continue
+                        assert e == traj.edges[k]
+                        spec = problem.edge(e)
+
+                        def value(b):
+                            f = jh.exprlang.evaluate(spec.velocity, s, b)
+                            ell = jh.exprlang.evaluate(spec.running_cost, s, b)
+                            foot = min(max(s + dt * f, 0.0), fine_grid.l_max)
+                            return dt * ell + beta * np.interp(
+                                foot, fine_grid.nodes, field.values[e - 1]
+                            )
+
+                        assert value(a) <= min(value(b) for b in spec.controls) + 1e-12
+                        checked += 1
+    assert checked > 10000
+
+
+def test_simulate_step_loop_reads_no_numpy():
+    # The rollout's step loop runs on Python floats: the field is read into
+    # lists once per rollout, before the loop.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    (simulate_def,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "simulate"
+    ]
+    (loop,) = [
+        node for node in ast.walk(simulate_def)
+        if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(n_steps)"
+    ]
+    for node in ast.walk(ast.Module(body=loop.body, type_ignores=[])):
+        assert not (isinstance(node, ast.Name) and node.id == "np"), ast.unparse(node)
+        assert not (
+            isinstance(node, ast.Subscript) and ast.unparse(node.value) == "field.values"
+        ), ast.unparse(node)
+
+
+def _numpy_scalar_trajectory_csv(traj: Trajectory) -> str:
+    """The trajectory CSV as written from numpy scalars."""
+    lines = ["t,edge,s,accumulated_cost"]
+    for t, e, s, c in zip(traj.times, traj.edges, traj.positions, traj.accumulated):
+        lines.append(f"{format(t, '.9g')},{e},{format(s, '.9g')},{format(c, '.9g')}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_keeps_its_format(fine_grid):
+    # One rollout that parks at the vertex, and the exit mirror's from the
+    # same start, which pays an exit charge and is clamped at l_max: the CSV
+    # written from Python floats is byte for byte the numpy-scalar one.
+    problem = make_random_problem(np.random.default_rng(20260810))
+    field, _ = jh.solve(problem, fine_grid)
+    parked = simulate(problem, NetworkPoint(1, 0.5), field, horizon=25.0, dt=0.01)
+    mirror = _exit_mirror(problem)
+    field, _ = jh.solve(mirror, fine_grid)
+    clamped = simulate(mirror, NetworkPoint(1, 0.5), field, horizon=25.0, dt=0.01)
+    assert clamped.left_domain and not parked.left_domain
+    assert parked.schedule.pieces[-1].partner is not None and len(parked.times) < 2500
+    for traj in (clamped, parked):
+        assert trajectory_to_csv(traj) == _numpy_scalar_trajectory_csv(traj)
+        sidecar = switches_to_csv(traj)
+        assert sidecar.splitlines()[1:] == [
+            f"{ev.kind},{ev.edge},{format(ev.time, '.9g')},{format(ev.charged_cost, '.9g')}"
+            for ev in traj.switches
+        ]
+    assert [ev.kind for ev in clamped.switches] == ["exit"]

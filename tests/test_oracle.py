@@ -750,13 +750,12 @@ def test_simulate_takes_a_least_bellman_value_control_at_interior_steps(fine_gri
     # rollout took attains the least one-step Bellman value, computed here
     # with np.interp on the clipped foot.
     dt, horizon = fine_grid.dt, 5.0
-    beta = math.exp(-dt)
     rng = np.random.default_rng(20260810)
     checked = 0
     for _ in range(4):
         base = make_random_problem(rng)
         for problem in (base, _exit_mirror(base)):
-            assert problem.lam == 1.0
+            beta = math.exp(-problem.lam * dt)
             field, _ = jh.solve(problem, fine_grid)
             for edge in problem.junction.edge_labels:
                 for s0 in (0.3, 1.2, 2.6, 3.95):

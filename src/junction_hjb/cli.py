@@ -183,7 +183,7 @@ def cmd_simulate(args) -> int:
     field = _load_field(args.field, problem)
     edge_text, _, s_text = args.x0.partition(",")
     x0 = NetworkPoint(int(edge_text), float(s_text))
-    dt = args.dt if args.dt is not None else field.grid.h
+    dt = args.dt if args.dt is not None else field.grid.dt
     traj = oracle_mod.simulate(problem, x0, field, horizon=args.horizon, dt=dt)
     if x0.s == 0.0:
         value = field.vertex_reconstruction
@@ -209,10 +209,7 @@ def cmd_simulate(args) -> int:
 def cmd_residual(args) -> int:
     problem = load_problem(args.spec)
     field = _load_field(args.field, problem)
-    grid = field.grid
-    if args.dt is not None:
-        grid = solver.GridParams(h=grid.h, l_max=grid.l_max, dt=args.dt)
-    system = solver.build_system(problem, grid)
+    system = solver.build_system(problem, field.grid)
     _, max_res = solver.residual(field, system)
     print(f"max_residual = {max_res:.9g}")
     return 0
@@ -304,14 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="field file from solve")
     p.add_argument("--x0", required=True, help="start point as edge,s")
     p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=None, help="time step (default: the field's dt)")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("residual", help="fixed-point residual of a field")
     p.add_argument("spec")
     p.add_argument("--field", required=True)
-    p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=cmd_residual)
 
     p = sub.add_parser("compare", help="sup-norm difference of two field files")

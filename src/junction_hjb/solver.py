@@ -53,8 +53,9 @@ for all edges at once by block cyclic reduction in ceil(log2(n/b))
 vectorized levels for block size b, with the vertex limit kept as a
 second right-hand side; an N x N solve then couples the vertex limits.
 To keep the number of policy evaluations small as h shrinks, it runs on
-a ladder of grids, each coarser one doubling h and dt (when n_intervals
-is even and the coarser grid is admissible); each finer grid starts from
+a ladder of grids, each coarser one every other node of the one before
+(h and dt doubled, the last node dropped when n_intervals is odd), for
+as long as the coarser grid is admissible; each finer grid starts from
 the greedy policy of one sweep of the coarser result interpolated onto
 it.  It stops once one sweep moves the field by at most tol*(1-beta),
 which puts the field within tol of the fixed point.  SolveReport.iterations
@@ -153,29 +154,15 @@ class SolveReport:
 
 
 class DiscreteSystem:
-    """Precomputed semi-Lagrangian data for one problem on one grid."""
+    """Precomputed semi-Lagrangian data for one problem on one grid, from
+    the problem's vertex data and its sample table at the grid's nodes,
+    whose padding gives an infinite stage cost.  Raises ValueError when dt
+    times the table's sup exceeds l_max/4."""
 
     # Every update runs in the calling thread; perfbench/run.py reports this.
     workers = 1
 
-    def __init__(self, problem: Problem, grid: GridParams):
-        self._build(problem, grid, vertex_data(problem), _sample_edges(problem, grid.nodes))
-
-    def _coarser(self) -> "DiscreteSystem":
-        """The system on the grid with h and dt doubled.  It shares this
-        system's vertex data, which does not depend on the grid, and takes
-        every other node's row of the sample table: node k of the coarse
-        grid is node 2k of this one, the same double."""
-        grid = GridParams(h=2 * self.grid.h, l_max=self.grid.l_max, dt=2 * self.grid.dt)
-        coarse = DiscreteSystem.__new__(DiscreteSystem)
-        t = self.samples
-        coarse._build(self.problem, grid, self.vertex, replace(t, f=t.f[:, ::2], ell=t.ell[:, ::2]))
-        return coarse
-
-    def _build(self, problem: Problem, grid: GridParams, vertex: VertexData, samples: EdgeSamples):
-        """samples is the sample table at the grid's nodes, whose padding
-        gives an infinite stage cost.  Each level checks dt against its own
-        table's sup, and the ValueError ends the ladder."""
+    def __init__(self, problem: Problem, grid: GridParams, vertex: VertexData, samples: EdgeSamples):
         self.problem = problem
         self.grid = grid
         self.beta = math.exp(-problem.lam * grid.dt)
@@ -258,7 +245,7 @@ class DiscreteSystem:
 
 def build_system(problem: Problem, grid: GridParams) -> DiscreteSystem:
     """Precompute feet, interpolation weights, stage costs, and vertex data."""
-    return DiscreteSystem(problem, grid)
+    return DiscreteSystem(problem, grid, vertex_data(problem), _sample_edges(problem, grid.nodes))
 
 
 def constant_field(system: DiscreteSystem, value: float) -> ValueField:
@@ -496,15 +483,26 @@ def residual(field: ValueField, system: DiscreteSystem):
 
 
 def _ladder(system: DiscreteSystem) -> list[DiscreteSystem]:
-    """Systems on successively coarser grids, h and dt doubled at each step
-    (which keeps dt/h fixed), coarsest first and ending with system."""
+    """Systems on successively coarser grids, coarsest first and ending
+    with system.  Each coarser grid is every other node of the one before:
+    h and dt doubled (which keeps dt/h fixed), and with an odd number of
+    intervals the last node dropped, so l_max shrinks by h.  Every level
+    shares the vertex data, which does not depend on the grid, and takes
+    its rows of the finer sample table: node k of the coarse grid is node
+    2k of the finer one, the same double.  The ladder stops at the first
+    grid that GridParams or the dt check rejects."""
     levels = [system]
-    while levels[0].grid.n_intervals % 2 == 0:
+    while True:
+        fine = levels[0]
+        g, t = fine.grid, fine.samples
+        odd = g.n_intervals % 2
+        rows = slice(0, fine.n_nodes - odd, 2)
         try:
-            levels.insert(0, levels[0]._coarser())
+            grid = GridParams(h=2 * g.h, l_max=g.l_max - odd * g.h, dt=2 * g.dt)
+            samples = replace(t, f=t.f[:, rows], ell=t.ell[:, rows])
+            levels.insert(0, DiscreteSystem(fine.problem, grid, fine.vertex, samples))
         except ValueError:
-            break
-    return levels
+            return levels
 
 
 def _iterate(
@@ -523,16 +521,19 @@ def _iterate(
         field = constant_field(coarsest, system.sup_bound / system.problem.lam)
     else:
         system.check_field(init)
-        stride = system.grid.n_intervals // coarsest.grid.n_intervals
-        field = ValueField(init.values[:, ::stride].copy(), coarsest.grid)
+        # Node j of the coarsest grid is node j * 2^k of the requested one.
+        stride = 2 ** (len(levels) - 1)
+        values = init.values[:, : stride * coarsest.n_nodes : stride].copy()
+        field = ValueField(values, coarsest.grid)
 
     # Howard's policy iteration on each level.  A finer level starts from
     # the greedy policy of one sweep of the coarser field interpolated onto
-    # its nodes: with dt > h the interpolated field alone seeds policies
-    # whose flaws take one evaluation per node to undo (entry-basic at
-    # dt = 2h: 91 evaluations instead of 6).  A level ends when one sweep
-    # moves its field by at most tol*(1-beta), which puts the field within
-    # tol of the level's fixed point, or when the policy stops changing.
+    # its nodes (held constant past a truncated coarser grid's l_max): with
+    # dt > h the interpolated field alone seeds policies whose flaws take
+    # one evaluation per node to undo (entry-basic at dt = 2h: 91
+    # evaluations instead of 6).  A level ends when one sweep moves its
+    # field by at most tol*(1-beta), which puts the field within tol of the
+    # level's fixed point, or when the policy stops changing.
     budget = max_iters
     counts = []
     for level in levels:

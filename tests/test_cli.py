@@ -205,6 +205,19 @@ def test_simulate_prints_value_gap(tmp_path, capsys):
         assert abs(gap) <= 0.01  # h
 
 
+def test_simulate_steps_with_the_field_dt(tmp_path, capsys):
+    # By default a rollout steps with the time step the field was solved
+    # with, here dt = 4h, and realizes the field's value to within h.
+    spec = _write_spec(tmp_path)
+    field = tmp_path / "field.csv"
+    assert main(["solve", spec, "--h", "0.01", "--dt", "0.04", "--out", str(field)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", spec, "--field", str(field), "--x0", "1,1.0"]) == 0
+    out = capsys.readouterr().out
+    gap = float(next(l for l in out.splitlines() if l.startswith("value_gap")).split("=")[1])
+    assert abs(gap) <= 0.01  # h
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -304,6 +317,21 @@ def test_residual_command(tmp_path, capsys):
     assert main(["residual", spec, "--field", str(field)]) == 0
     res = float(capsys.readouterr().out.split("=")[1])
     assert res <= 1e-8
+
+
+def test_residual_refuses_a_dt_flag(tmp_path, capsys):
+    # A field file carries its own dt; reading a converged field at another
+    # dt is not its residual.
+    spec = _write_spec(tmp_path)
+    field = tmp_path / "field.csv"
+    assert main(["solve", spec, "--dt", "0.04", "--out", str(field)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["residual", spec, "--field", str(field), "--dt", "0.01"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dt" in capsys.readouterr().err
+    assert main(["residual", spec, "--field", str(field)]) == 0
+    assert float(capsys.readouterr().out.split("=")[1]) <= 1e-8
 
 
 def test_solver_outputs_are_deterministic(tmp_path):

@@ -175,12 +175,17 @@ def test_monotonicity(benchmark_problem, fine_grid):
             assert (b >= a - 1e-12).all()
 
 
-def test_two_sided_initialization_agreement(benchmark_problem, fine_grid):
-    system = build_system(benchmark_problem, fine_grid)
-    bound = system.value_bound
-    lo, _ = solve(benchmark_problem, fine_grid, init=constant_field(system, -bound))
-    hi, _ = solve(benchmark_problem, fine_grid, init=constant_field(system, +bound))
-    assert lo.sup_distance(hi) <= 1e-8
+def test_two_sided_initialization_agreement(benchmark_problem):
+    # 399 intervals is odd, so init is carried onto a truncated coarsest grid.
+    for l_max in (4.0, 3.99):
+        grid = GridParams(h=0.01, l_max=l_max, dt=0.01)
+        system = build_system(benchmark_problem, grid)
+        bound = system.value_bound
+        lo, lo_report = solve(benchmark_problem, grid, init=constant_field(system, -bound))
+        hi, hi_report = solve(benchmark_problem, grid, init=constant_field(system, +bound))
+        assert lo_report.converged and hi_report.converged
+        assert len(lo_report.level_iterations) > 1
+        assert lo.sup_distance(hi) <= 1e-8
 
 
 def test_cost_monotonicity_single_instance(benchmark_problem, fine_grid):
@@ -575,13 +580,14 @@ def test_solve_matches_value_iteration(seed, kind, zero_cost, odd):
         costs = (0.0,) + costs[1:]
     problem = Problem(base.junction, base.edges, base.lam, CostRegime(kind, costs))
     # n_intervals = 40 builds a ladder of 2 or 3 grids (the third only when
-    # dt * sup <= l_max / 4 holds at h = 0.2); 25 is odd, so one grid.
+    # dt * sup <= l_max / 4 holds at h = 0.2); 25 is odd, so its coarser
+    # grid drops the last node: 12 intervals of 0.16.
     h = 0.08 if odd else 0.05
     grid = GridParams(h=h, l_max=2.0, dt=h)
     tol = 1e-9
     field, report = solve(problem, grid, tol=tol)
     assert report.converged
-    assert len(report.level_iterations) == 1 if odd else len(report.level_iterations) > 1
+    assert len(report.level_iterations) > 1
     assert sum(report.level_iterations) == report.iterations
 
     system = build_system(problem, grid)
@@ -630,6 +636,17 @@ def _acceptance_problem(index):
     for _ in range(index):
         make_random_problem(rng)
     return make_random_problem(rng)
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_odd_grid_gets_a_ladder(index):
+    # 399 intervals is odd: each coarser grid drops the last node, and the
+    # ladder keeps Howard to a few evaluations, as on the even grid.
+    grid = GridParams(h=0.01, l_max=3.99, dt=0.01)
+    _, report = solve(_acceptance_problem(index), grid)
+    assert report.converged
+    assert len(report.level_iterations) > 1
+    assert report.iterations <= 20
 
 
 @pytest.mark.parametrize(

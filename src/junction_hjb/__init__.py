@@ -10,12 +10,7 @@ cross-checks.
 """
 
 from .exprlang import EvalError, ExprError, ExprSyntaxError, evaluate, format_expr, parse
-from .hamiltonian import (
-    NoStationaryControlError,
-    VertexAction,
-    VertexData,
-    vertex_data,
-)
+from .hamiltonian import NoStationaryControlError, VertexAction, VertexBranch, VertexData, vertex_data
 from .model import (
     AssumptionReport,
     CostRegime,

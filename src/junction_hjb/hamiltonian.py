@@ -13,8 +13,14 @@ cost) pair, the finite list stands in for the convex hull of the samples.
 The actions with v = 0 are the stationary ones; the tangential
 Hamiltonian at the vertex is minus the cheapest stationary cost over all
 edges, and divided by the discount rate it is the cost of parking at the
-vertex forever.  The solver's vertex update, the oracle's hold actions
-and the rollout's vertex step all read these lists.
+vertex forever.  The oracle's hold actions read these lists.
+
+vertex_data also lists the vertex branches, the options of the solver's
+vertex update, in its tie order and each with its constant charge: per
+edge, u_i(O)'s switches to every other edge, park and continue; and
+v(O)'s moves with v > 0 into every edge, then park (holding at O to leave
+later never beats leaving now or parking).  The solver's vertex update
+reads the former and the rollout's vertex choice the latter.
 """
 
 from __future__ import annotations
@@ -24,13 +30,8 @@ from dataclasses import dataclass
 from . import exprlang
 from .model import Problem
 
-__all__ = [
-    "ZERO_VELOCITY_TOL",
-    "VertexAction",
-    "VertexData",
-    "NoStationaryControlError",
-    "vertex_data",
-]
+__all__ = ["ZERO_VELOCITY_TOL", "VertexAction", "VertexBranch", "VertexData",
+           "NoStationaryControlError", "vertex_data"]
 
 # Sampled controls count as stationary when |f(O, a)| is below this; the
 # interpolated pair points are exactly stationary by construction.
@@ -58,12 +59,26 @@ class VertexAction:
 
 
 @dataclass(frozen=True)
+class VertexBranch:
+    """An option at O, taken along one vertex action of an edge, at a
+    constant charge on top of that action's step."""
+
+    kind: str  # "switch" into edge, "park" at O, or "continue" on the own edge
+    edge: int
+    action: int  # index into the edge's vertex actions; a park's held one
+    charge: float  # a switching cost, the stall value with or without one, or 0
+
+
+@dataclass(frozen=True)
 class VertexData:
     """Each edge's vertex actions, sampled controls first and mixes after,
-    plus the tangential Hamiltonian."""
+    the tangential Hamiltonian, and the vertex branches in tie order: one
+    list per edge for its limit u_i(O), and one for v(O)."""
 
     edges: tuple[tuple[VertexAction, ...], ...]
     tangential: float  # -min over edges of the cheapest stationary cost
+    limit_branches: tuple[tuple[VertexBranch, ...], ...]
+    value_branches: tuple[VertexBranch, ...]
 
     def edge(self, label: int) -> tuple[VertexAction, ...]:
         return self.edges[label - 1]
@@ -95,11 +110,31 @@ def _edge_actions(problem: Problem, label: int) -> tuple[VertexAction, ...]:
 
 
 def vertex_data(problem: Problem) -> VertexData:
-    """Compute all vertex actions once; raises if no edge can park at O."""
-    edges = tuple(
-        _edge_actions(problem, label) for label in problem.junction.edge_labels
-    )
-    stationary = [a.cost for actions in edges for a in actions if a.velocity == 0.0]
+    """All vertex actions and branches; raises if no edge can park at O.
+    Parking holds the first cheapest stationary action, edge by edge."""
+    labels = problem.junction.edge_labels
+    edges = tuple(_edge_actions(problem, label) for label in labels)
+    stationary = [(a.cost, label, k) for label, actions in zip(labels, edges)
+                  for k, a in enumerate(actions) if a.velocity == 0.0]
     if not stationary:
         raise NoStationaryControlError("[H4] violated: no stationary control at O")
-    return VertexData(edges=edges, tangential=-min(stationary))
+    cheapest, *held = min(stationary)
+    stall = cheapest / problem.lam
+    costs, entry = problem.regime.costs, problem.regime.kind == "entry"
+
+    def along(kind, j, charge, moving=False):
+        """Branches into edge j along each of its actions (v > 0 if moving)."""
+        return [VertexBranch(kind, j, k, charge) for k, a in enumerate(edges[j - 1])
+                if a.velocity > 0.0 or not moving]
+
+    limits = []
+    for i in labels:
+        d_i = costs[i - 1]
+        switches = [b for j in labels if j != i
+                    for b in along("switch", j, costs[j - 1] if entry else d_i)]
+        park = VertexBranch("park", *held, stall if entry else d_i + stall)
+        limits.append((*switches, park, *along("continue", i, 0.0)))
+    moves = [b for j in labels
+             for b in along("switch", j, costs[j - 1] if entry else 0.0, moving=True)]
+    park = VertexBranch("park", *held, stall)
+    return VertexData(edges, -cheapest, tuple(limits), (*moves, park))

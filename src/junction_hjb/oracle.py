@@ -150,12 +150,6 @@ class _Path:
                 self.cost += self._charge("exit", self.t)
             self.s = 0.0
 
-    def leaving_charge(self, edge: int) -> float:
-        """What advance charges, undiscounted, for a step off the vertex into
-        edge: its entry cost in the entry regime; nothing in the exit
-        regime, whose charge falls on arrival at the vertex."""
-        return self.problem.regime.costs[edge - 1] if self.entry else 0.0
-
     def advance(self, control: float, dt: float, steps: int = 1, first=None,
                 theta: float = 1.0, partner: float | None = None):
         """steps explicit Euler steps of control, mixed with weight 1 - theta
@@ -521,15 +515,12 @@ def simulate(
     once per rollout as Python floats and interpolated linearly at the foot
     clipped into [0, l_max], as the scheme's feet are.  Within h/2 of the
     vertex (h the field's grid step) the state snaps onto O and takes the
-    first cheapest of one list built once: leaving O into each edge j, the
-    current one included, along each of its vertex_data actions with v > 0,
-    priced at the charge the path recorder makes for it
-    (_Path.leaving_charge) plus the step's cost and the discounted field
-    value after it; then parking at the vertex forever on the cheapest
-    stationary action, priced analytically and recorded as one schedule
-    piece: its sampled control, or its pair and theta as one relaxed piece,
-    which evaluate_cost replays.  Holding at O and leaving later is never
-    strictly better than leaving now or parking, so no move has v = 0.
+    first cheapest branch of vertex_data's v(O) list, chosen once: a move
+    into an edge, the current one included, priced at its charge plus the
+    step's cost and the discounted field value after it; or parking
+    forever, priced at its charge and recorded as one schedule piece (a
+    sampled control, or a pair and theta as one relaxed piece), which
+    evaluate_cost replays.
 
     The rollout simulates the truncated model the field was solved for:
     like the scheme's feet, an Euler step that would pass the field's l_max
@@ -561,18 +552,6 @@ def simulate(
     lam = problem.lam
     beta = math.exp(-lam * dt)
     vdata = vertex_data(problem)
-    # Parking holds the cheapest stationary action, the lowest edge label
-    # and a sampled control winning ties; its cost is -vdata.tangential.
-    stall_edge, stall = min(
-        (
-            (label, act)
-            for label in problem.junction.edge_labels
-            for act in vdata.edge(label)
-            if act.velocity == 0.0
-        ),
-        key=lambda item: item[1].cost,
-    )
-
     path = _Path(problem, x0, grid.l_max)
     runs: list[list] = []  # [(edge, control, theta[, partner]), duration]
 
@@ -584,21 +563,20 @@ def simulate(
             runs.append([key, duration])
 
     values = field.values.tolist()
-    # The vertex candidates (value, edge, control, (f, ell)): every move off
-    # O, then parking, so that a move wins a tie.  They do not depend on the
-    # state, so the first cheapest is the vertex choice of every step.
-    moves = [
-        (
-            path.leaving_charge(j) + dt * act.cost
-            + beta * _interp(values[j - 1], grid, dt * act.velocity),
-            j, problem.edge(j).controls[act.controls[0]], (act.velocity, act.cost),
-        )
-        for j in problem.junction.edge_labels
-        for act in vdata.edge(j)
-        if act.velocity > 0.0
-    ]
-    moves.append((stall.cost / lam, None, None, None))
-    _, *at_vertex = min(moves, key=lambda item: item[0])
+
+    def vertex_value(branch):
+        """The value of a branch of v(O) on the field."""
+        if branch.kind == "park":
+            return branch.charge
+        act = vdata.edge(branch.edge)[branch.action]
+        return (branch.charge + dt * act.cost
+                + beta * _interp(values[branch.edge - 1], grid, dt * act.velocity))
+
+    # The branches do not depend on the state, so the first cheapest is the
+    # vertex choice of every step: a move's control, or a park's pair.
+    choice = min(vdata.value_branches, key=vertex_value)
+    act = vdata.edge(choice.edge)[choice.action]
+    a_vertex, *partner = (problem.edge(choice.edge).controls[k] for k in act.controls)
 
     evaluate = exprlang.evaluate
     h_snap = grid.h / 2
@@ -607,7 +585,20 @@ def simulate(
         edge, s = path.edge, path.s
         if s <= h_snap:
             path.snap()
-            edge, a, first = at_vertex
+            if choice.kind == "park":
+                # Park forever: accumulate the stationary action's discounted
+                # cost up to the horizon and record it as one relaxed piece.
+                # The exit from the current edge, if one was due, was charged
+                # on arrival at the vertex.
+                remaining = horizon - path.t
+                path.cost += (
+                    act.cost * (1 - math.exp(-lam * remaining)) / lam * math.exp(-lam * path.t)
+                )
+                record(remaining, choice.edge, a_vertex, act.theta, *partner)
+                path.edge, path.s, path.t = choice.edge, 0.0, horizon
+                path.sample()
+                break
+            edge, a, first = choice.edge, a_vertex, (act.velocity, act.cost)
         else:
             # The first control with the least one-step Bellman value.
             spec = problem.edges[edge - 1]
@@ -619,21 +610,6 @@ def simulate(
                 value = dt * ell + beta * _interp(u, grid, s + dt * f)
                 if best is None or value < best:
                     best, a, first = value, b, (f, ell)
-
-        if edge is None:
-            # Park forever: accumulate the stationary action's discounted
-            # cost up to the horizon and record it as one relaxed piece.
-            # The exit from the current edge, if one was due, was charged
-            # on arrival at the vertex.
-            remaining = horizon - path.t
-            path.cost += (
-                stall.cost * (1 - math.exp(-lam * remaining)) / lam * math.exp(-lam * path.t)
-            )
-            a, *partner = (problem.edge(stall_edge).controls[k] for k in stall.controls)
-            record(remaining, stall_edge, a, stall.theta, *partner)
-            path.edge, path.s, path.t = stall_edge, 0.0, horizon
-            path.sample()
-            break
 
         path.edge = edge
         record(dt, edge, a, 1.0)

@@ -39,7 +39,7 @@ condition min(stall, min_j B3_j).
 A field is one (N, n+1) array, row i for edge i+1.  The system stacks its
 data alike: the interior data as (N, n+1, K) arrays over K controls (short
 control lists padded with an infinite stage cost), every edge's vertex
-actions in one flat list, and the vertex branches in one (N, branches)
+actions in one flat list, and vertex_data's branch lists in one (N, branches)
 table, so a sweep is a few array expressions with no loop over edges.
 
 The update is a min over a finite set of actions (a control per node, a
@@ -195,21 +195,15 @@ class DiscreteSystem:
         self.pair_stage = grid.dt * pell
         self.pair_at = self.pair_lo + offsets[self.pair_edge]
 
-        # Vertex branches of edge e: branch_pair[e] lists pair indices, and
-        # len(pairs) for parking, in the order ties resolve toward: switch
-        # to each other edge j, park at the vertex, continue into edge e.
-        # branch_const[e] holds each branch's switch cost, the parking
-        # value, or 0.
-        target = np.append(self.pair_edge, -1)
-        own = target == np.arange(n_edges)[:, None]
-        costs = np.asarray(problem.regime.costs, dtype=float)
-        if problem.regime.kind == "entry":
-            switch, park = np.append(costs[self.pair_edge], 0.0), self.stall_value
-        else:
-            switch, park = costs[:, None], costs[:, None] + self.stall_value
-        const = np.where(target < 0, park, np.where(own, 0.0, switch))
-        self.branch_pair = np.argsort(2 * own + (target < 0), axis=1, kind="stable")
-        self.branch_const = np.take_along_axis(const, self.branch_pair, axis=1)
+        # Edge e's vertex branches as vertex.limit_branches[e] lists them:
+        # branch_pair their pair indices (len(pairs) parks), branch_const their charges.
+        start = np.cumsum([0] + [len(acts) for acts in vertex.edges]).tolist()
+        rows = vertex.limit_branches
+        self.branch_pair = np.array([
+            [len(pairs) if b.kind == "park" else start[b.edge - 1] + b.action for b in row]
+            for row in rows
+        ])
+        self.branch_const = np.array([[b.charge for b in row] for row in rows], dtype=float)
 
         # Per-edge views, unused here; kept, as workers is, because
         # perfbench/run.py --trace 1 concatenates them to count sweep bytes.

@@ -1,17 +1,22 @@
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import junction_hjb as jh
-from junction_hjb import exprlang
+from junction_hjb import exprlang, oracle, solver
 from junction_hjb.hamiltonian import (
     ZERO_VELOCITY_TOL,
     NoStationaryControlError,
     VertexAction,
+    VertexBranch,
     vertex_data,
 )
-from junction_hjb.model import parse_problem
+from junction_hjb.model import CostRegime, Problem, parse_problem
 
 
 def _plus_pairs(problem, edge):
@@ -190,3 +195,107 @@ def test_vertex_actions_are_the_relaxed_control_set(edge1, edge2):
             assert a.cost == pytest.approx(mixed, rel=1e-12, abs=1e-12)
             stationary.append(a.cost)
     assert data.tangential == -min(stationary)
+
+
+# ---------------------------------------------------------------------------
+# Vertex branches
+# ---------------------------------------------------------------------------
+
+def _branches(kind, edge, actions, charge):
+    return [VertexBranch(kind, edge, k, charge) for k in actions]
+
+
+def test_entry_basic_branch_lists():
+    # Each edge's actions: a = 0 (v = 0), a = 1 (v = 1), the (-1, 1) mix
+    # (v = 0).  Every stationary action costs 1, so the park holds edge 1's
+    # a = 0 and the stall value is 1.
+    data = vertex_data(jh.builtin_problem("entry-basic"))  # c = (10, 0.5)
+    park = VertexBranch("park", 1, 0, 1.0)
+    assert list(data.limit_branches[0]) == (
+        _branches("switch", 2, range(3), 0.5) + [park] + _branches("continue", 1, range(3), 0.0)
+    )
+    assert list(data.limit_branches[1]) == (
+        _branches("switch", 1, range(3), 10.0) + [park] + _branches("continue", 2, range(3), 0.0)
+    )
+    # v(O): moves with v > 0 into edge 1 at c_1 and edge 2 at c_2, then park.
+    assert data.value_branches == (
+        VertexBranch("switch", 1, 1, 10.0), VertexBranch("switch", 2, 1, 0.5), park
+    )
+
+
+def test_exit_basic_branch_lists():
+    # With exit costs d = (0, 0.5), a switch from edge i charges d_i, the
+    # park d_i plus the stall value, and v(O)'s moves nothing: the exit was
+    # charged on arrival at O.
+    data = vertex_data(jh.builtin_problem("exit-basic"))
+    for (i, j), d in zip(((1, 2), (2, 1)), (0.0, 0.5)):
+        assert list(data.limit_branches[i - 1]) == (
+            _branches("switch", j, range(3), d)
+            + [VertexBranch("park", 1, 0, d + 1.0)]
+            + _branches("continue", i, range(3), 0.0)
+        )
+    assert data.value_branches == (
+        VertexBranch("switch", 1, 1, 0.0), VertexBranch("switch", 2, 1, 0.0),
+        VertexBranch("park", 1, 0, 1.0),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    _edge, _edge,
+    st.sampled_from(["entry", "exit"]),
+    st.tuples(st.sampled_from([0.0, 0.3, 2.0]), st.sampled_from([0.0, 0.7])),
+)
+@example(("-1, 0, 1", "a", "1"), ("-1, 0, 1", "a", "1"), "entry", (0.3, 0.7))
+def test_branch_lists_follow_the_scheme_tie_order(edge1, edge2, kind, costs):
+    """Each u_i(O) list is every other edge's actions as switches, then one
+    park, then edge i's actions as continues: (total vertex actions + 1)
+    branches.  v(O)'s list is every action with v > 0 as a switch, then the
+    park.  The park holds the first cheapest stationary action, edge by
+    edge, and charges are the regime's."""
+    base = _two_edge(*edge1, *edge2)
+    problem = Problem(base.junction, base.edges, base.lam, CostRegime(kind, costs))
+    try:
+        data = vertex_data(problem)
+    except NoStationaryControlError:
+        return
+    actions = [(label, k, a) for label in (1, 2) for k, a in enumerate(data.edge(label))]
+    held = None
+    for label, k, a in actions:
+        if a.velocity == 0.0 and (held is None or a.cost < held[2].cost):
+            held = (label, k, a)
+    stall = held[2].cost / problem.lam
+    entry = kind == "entry"
+    for i, row in zip((1, 2), data.limit_branches):
+        d_i = costs[i - 1]
+        assert len(row) == len(actions) + 1
+        (park,) = [b for b in row if b.kind == "park"]
+        assert (park.edge, park.action) == held[:2]
+        assert park.charge == (stall if entry else d_i + stall)
+        switches = [b for b in row if b.kind == "switch"]
+        assert row == (*switches, park, *[b for b in row if b.kind == "continue"])
+        assert [(b.edge, b.action) for b in switches] == [
+            (label, k) for label, k, _ in actions if label != i
+        ]
+        assert all(b.charge == (costs[b.edge - 1] if entry else d_i) for b in switches)
+        assert [(b.edge, b.action, b.charge) for b in row[len(switches) + 1 :]] == [
+            (label, k, 0.0) for label, k, _ in actions if label == i
+        ]
+    assert data.value_branches == (
+        *[VertexBranch("switch", label, k, costs[label - 1] if entry else 0.0)
+          for label, k, a in actions if a.velocity > 0.0],
+        VertexBranch("park", *held[:2], stall),
+    )
+
+
+@pytest.mark.parametrize("function", [solver.DiscreteSystem.__init__, oracle.simulate])
+def test_branch_readers_do_not_read_the_regime_kind(function):
+    # The solver's vertex update and the rollout's vertex choice take the
+    # regime's charge rule from vertex_data's branch lists, not by
+    # branching on the regime themselves.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    for node in ast.walk(tree):
+        assert not (
+            isinstance(node, ast.Attribute) and node.attr == "kind"
+            and ast.unparse(node.value).endswith("regime")
+        ), ast.unparse(node)

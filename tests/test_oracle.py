@@ -509,6 +509,51 @@ def test_simulate_vertex_gap_halves_with_h(benchmark_problem):
     assert 0.4 * abs(gaps[0]) <= abs(gaps[1]) <= 0.6 * abs(gaps[0])
 
 
+def _charge_cases():
+    rng = np.random.default_rng(20260810)
+    randoms = [make_random_problem(rng) for _ in range(4)]
+    basics = [jh.builtin_problem(name) for name in ("entry-basic", "exit-basic")]
+    return basics + randoms + [_exit_mirror(p) for p in randoms]
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_branch_charges_match_the_recorded_switch_events(index):
+    # vertex_data's branches carry each switch charge as a constant, and
+    # the path recorder charges switches as events; the two must agree.
+    # One step from O along each of v(O)'s moves records the move's charge.
+    # Arriving at O from inside edge i, then stepping into edge j, records
+    # the charge of u_i(O)'s switch to j (c_j with entry, d_i with exit).
+    problem = _charge_cases()[index]
+    data = jh.vertex_data(problem)
+    dt = 0.01
+
+    def recorded(start, pieces):
+        traj = evaluate_cost(problem, start, ControlSchedule(tuple(pieces)), substeps=1)
+        return math.fsum(
+            ev.charged_cost / math.exp(-problem.lam * ev.time) for ev in traj.switches
+        )
+
+    def step(branch):
+        act = data.edge(branch.edge)[branch.action]
+        return SchedulePiece(dt, branch.edge, problem.edge(branch.edge).controls[act.controls[0]])
+
+    moves = [b for b in data.value_branches if b.kind == "switch"]
+    assert moves
+    for branch in moves:
+        got = recorded(NetworkPoint(branch.edge, 0.0), [step(branch)])
+        assert got == pytest.approx(branch.charge, rel=1e-12, abs=0.0)
+    checked = 0
+    for i, row in zip(problem.junction.edge_labels, data.limit_branches):
+        # The most negative control: one step from s = 1e-6 reaches O.
+        inward = SchedulePiece(dt, i, problem.edge(i).controls[0])
+        for branch in row:
+            if branch.kind == "switch" and data.edge(branch.edge)[branch.action].velocity > 0.0:
+                got = recorded(NetworkPoint(i, 1e-6), [inward, step(branch)])
+                assert got == pytest.approx(branch.charge, rel=1e-12, abs=0.0)
+                checked += 1
+    assert checked >= problem.n_edges
+
+
 def test_evaluate_cost_charges_each_reentry(benchmark_problem):
     # Out, back to the vertex, out again: two entry charges on edge 2.
     sched = ControlSchedule(

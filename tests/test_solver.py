@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import junction_hjb as jh
 from conftest import fnum, make_random_problem
+from junction_hjb.exprlang import BinOp, parse
 from junction_hjb.hamiltonian import vertex_data
 from junction_hjb.model import CostRegime, Problem, _sample_edges, parse_problem
 from junction_hjb.solver import (
@@ -199,6 +201,59 @@ def test_cost_monotonicity_single_instance(benchmark_problem, fine_grid):
     up, _ = solve(doubled, fine_grid)
     for a, b in zip(base.values, up.values):
         assert (b >= a - 1e-8).all()
+
+
+# The comparison principle makes the value monotone in every datum the
+# cost functional is monotone in, and the scheme keeps that: its update is
+# monotone in the stage costs and the branch charges.  Criterion 7 checks
+# entry costs; these check the running cost and exit costs, on a coarse
+# grid.
+COARSE = GridParams(h=0.05, l_max=2.0, dt=0.05)
+
+
+def _does_not_fall(low: ValueField, high: ValueField, slack: float = 1e-8):
+    assert (high.values >= low.values - slack).all()
+    assert high.vertex_reconstruction >= low.vertex_reconstruction - slack
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edge=st.integers(1, 3),
+    bump=st.sampled_from(["0.3", "0.5 * x", "a^2", "0.2 * (1 + sin(3 * x))"]),
+    kind=st.sampled_from(["entry", "exit"]),
+)
+@example(seed=2, edge=1, bump="0.3", kind="entry")  # raises every node by more than 0.02
+def test_field_does_not_fall_when_ell_rises_on_one_edge(seed, edge, bump, kind):
+    base = make_random_problem(np.random.default_rng(seed))
+    problem = Problem(base.junction, base.edges, base.lam, CostRegime(kind, base.regime.costs))
+    edges = list(problem.edges)
+    spec = edges[edge - 1]
+    edges[edge - 1] = replace(spec, running_cost=BinOp("+", spec.running_cost, parse(bump)))
+    raised = replace(problem, edges=tuple(edges))
+    low, low_report = solve(problem, COARSE)
+    high, high_report = solve(raised, COARSE)
+    assert low_report.converged and high_report.converged
+    _does_not_fall(low, high)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edge=st.integers(1, 3),
+    rise=st.sampled_from([0.05, 0.5, 2.0]),
+)
+@example(seed=0, edge=3, rise=0.5)  # edge 3 leaves through O: the field rises by 0.5
+def test_field_does_not_fall_when_an_exit_cost_rises(seed, edge, rise):
+    base = make_random_problem(np.random.default_rng(seed))
+    problem = Problem(base.junction, base.edges, base.lam, CostRegime.exit(base.regime.costs))
+    costs = list(problem.regime.costs)
+    costs[edge - 1] += rise
+    raised = replace(problem, regime=CostRegime.exit(costs))
+    low, low_report = solve(problem, COARSE)
+    high, high_report = solve(raised, COARSE)
+    assert low_report.converged and high_report.converged
+    _does_not_fall(low, high)
 
 
 def test_sandwich_and_stall_bounds(benchmark_problem, fine_grid, benchmark_solution):

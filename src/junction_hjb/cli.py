@@ -3,11 +3,13 @@
 Commands: validate, solve, oracle, simulate, residual, compare, example.
 solve and oracle write field files in one format (solver.field_to_csv and
 solver.field_to_json); simulate, residual and compare read them back with
-the solver's readers.
+the solver's readers, with the dt the file states; validate samples 101
+points on [0, 4].
 Exit codes: 0 success, 1 I/O or parse errors (and fields that do not fit
 the problem or share no node with each other, or that were solved for
 another problem), 2 validation violations on [0, l_max] or a comparison
-exceeding its bound, 3 solver non-convergence.
+exceeding its bound, 3 non-convergence (a stable policy above the --tol
+test, or the fixed bound on policy evaluations).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser):
 
 def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--max-iters", type=int, default=None)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -63,7 +64,7 @@ def _print_report(report: solver.SolveReport):
 
 def cmd_validate(args) -> int:
     problem = load_problem(args.spec)
-    report = validate(problem, samples=args.samples)
+    report = validate(problem)
     if args.format == "json":
         import json
 
@@ -117,9 +118,7 @@ def cmd_solve(args) -> int:
     problem = load_problem(args.spec)
     grid = _grid(args)
     _validate_on(problem, grid)
-    field, report = solver.solve(
-        problem, grid, tol=args.tol, max_iters=args.max_iters
-    )
+    field, report = solver.solve(problem, grid, tol=args.tol)
     for e, u in enumerate(field.values, start=1):
         print(f"u_{e}(O) = {u[0]:.9g}")
     print(f"v(O) = {field.vertex_reconstruction:.9g}")
@@ -132,9 +131,7 @@ def cmd_oracle(args) -> int:
     problem = load_problem(args.spec)
     grid = _grid(args)
     _validate_on(problem, grid)
-    solution = oracle_mod.oracle_solve(
-        problem, grid, tol=args.tol, max_iters=args.max_iters
-    )
+    solution = oracle_mod.oracle_solve(problem, grid, tol=args.tol)
     print(f"v(O) = {solution.vertex_value:.9g}")
     print("method = policy iteration (iterations count policy evaluations)")
     print(f"iterations = {solution.iterations}")
@@ -183,8 +180,7 @@ def cmd_simulate(args) -> int:
     field = _load_field(args.field, problem)
     edge_text, _, s_text = args.x0.partition(",")
     x0 = NetworkPoint(int(edge_text), float(s_text))
-    dt = args.dt if args.dt is not None else field.grid.dt
-    traj = oracle_mod.simulate(problem, x0, field, horizon=args.horizon, dt=dt)
+    traj = oracle_mod.simulate(problem, x0, field, horizon=args.horizon)
     if x0.s == 0.0:
         value = field.vertex_reconstruction
     else:
@@ -278,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the standing hypotheses of a problem file")
     p.add_argument("spec")
-    p.add_argument("--samples", type=int, default=101)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_validate)
 
@@ -301,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="field file from solve")
     p.add_argument("--x0", required=True, help="start point as edge,s")
     p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--dt", type=float, default=None, help="time step (default: the field's dt)")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_simulate)
 

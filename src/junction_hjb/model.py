@@ -83,7 +83,7 @@ class Junction:
 
 
 class NetworkPoint:
-    """A point (edge label, arclength s >= 0); s = 0 is the vertex O.
+    """A point (edge label, finite arclength s >= 0); s = 0 is the vertex O.
 
     All points with s = 0 are the same point regardless of edge label;
     equality and hashing respect that identification.
@@ -92,8 +92,8 @@ class NetworkPoint:
     __slots__ = ("edge", "s")
 
     def __init__(self, edge: int, s: float):
-        if s < 0:
-            raise ValueError(f"arclength must be >= 0, got {s}")
+        if not 0.0 <= s < math.inf:
+            raise ValueError(f"arclength must be finite and >= 0, got {s}")
         object.__setattr__(self, "edge", int(edge))
         object.__setattr__(self, "s", float(s))
 

@@ -342,7 +342,6 @@ def oracle_solve(
     problem: Problem,
     grid: GridParams,
     tol: float = 1e-9,
-    max_iters: int | None = None,
 ) -> OracleSolution:
     """Howard policy iteration on the finite MDP over grid nodes plus the
     vertex.
@@ -364,17 +363,18 @@ def oracle_solve(
     strictly better.  It stops when one Bellman update of the evaluated
     values moves them by at most tol * min(1, (1 - beta) / beta), which puts
     them within tol of the fixed point (converged), or when the policy stops
-    changing, or after max_iters policy evaluations (iterations).  The
-    default cap is the sweep count value iteration would need.
+    changing, or, as a safety bound, after twice the sweep count value
+    iteration would need.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = grid.n_intervals
     lam, dt = problem.lam, grid.dt
     beta = math.exp(-lam * dt)
     cost, succ, sup = _snapped_mdp(problem, grid)
 
-    if max_iters is None:
-        bound = sup / lam + float(sum(problem.regime.costs))
-        max_iters = 2 * math.ceil(math.log(max(bound, 2 * tol) / tol) / (lam * dt))
+    bound = sup / lam + float(sum(problem.regime.costs))
+    cap = 2 * math.ceil(math.log(max(bound, 2 * tol) / tol) / (lam * dt))
     threshold = tol * min(1.0, (1.0 - beta) / beta)
     # After r rounds the unsummed tail is beta**(2**r) times a value, at most
     # machine epsilon times the value bound once beta**(2**r) <= eps.
@@ -383,19 +383,13 @@ def oracle_solve(
 
     states = np.arange(cost.shape[0])
     action = cost.argmin(axis=1)
-    values = np.zeros(cost.shape[0])
-    iterations = 0
-    change = math.inf
-    converged = False
-    while iterations < max_iters:
+    for iterations in range(1, cap + 1):
         values = _path_sums(cost[states, action], succ[states, action], beta, rounds)
-        iterations += 1
         q = cost + beta * values[succ]
         best = q.argmin(axis=1)
         low = q[states, best]
         change = float(np.abs(low - values).max())
         if change <= threshold:
-            converged = True
             break
         improved = np.where(q[states, action] <= low, action, best)
         if np.array_equal(improved, action):
@@ -410,7 +404,7 @@ def oracle_solve(
         grid=grid,
         iterations=iterations,
         final_change=change,
-        converged=converged,
+        converged=change <= threshold,
     )
 
 
@@ -506,10 +500,11 @@ def simulate(
     x0: NetworkPoint,
     field: ValueField,
     horizon: float,
-    dt: float,
+    dt: float | None = None,
 ) -> Trajectory:
     """Roll out the greedy one-step policy of a converged field.
 
+    The rollout steps with the dt the field was solved for, field.grid.dt.
     At interior points the control is the first that minimizes the one-step
     Bellman right-hand side dt*ell + beta*u(s + dt*f): the field is read
     once per rollout as Python floats and interpolated linearly at the foot
@@ -527,11 +522,11 @@ def simulate(
     ends at l_max, and Trajectory.left_domain records that this happened.
     The returned schedule then replays the untruncated model (in
     evaluate_cost) only up to the first clamp.  Raises ValueError when dt
-    is not positive, the horizon is negative, x0 lies off the field's
-    domain (an edge label outside 1..N or s beyond l_max), or the field
-    does not have one row per edge of the problem with a value other than
-    NaN at every node of its grid (an oracle field has none at the
-    per-edge vertex limits).
+    is given and is not the field's dt, the horizon is negative, x0 lies
+    off the field's domain (an edge label outside 1..N or s beyond l_max),
+    or the field does not have one row per edge of the problem with a value
+    other than NaN at every node of its grid (an oracle field has none at
+    the per-edge vertex limits).
     """
     grid = field.grid
     if field.values.shape != (problem.n_edges, grid.n_intervals + 1):
@@ -542,8 +537,11 @@ def simulate(
         )
     if np.isnan(field.values).any():
         raise ValueError("the field has NaN nodes (an oracle field?)")
-    if not (0.0 < dt < math.inf and 0.0 <= horizon < math.inf):
-        raise ValueError(f"need dt > 0 and a finite horizon >= 0, got {dt} and {horizon}")
+    if dt is not None and dt != grid.dt:
+        raise ValueError(f"dt = {dt} is not the field's dt = {grid.dt}")
+    dt = grid.dt
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"need a finite horizon >= 0, got {horizon}")
     if x0.edge not in problem.junction.edge_labels or x0.s > grid.l_max:
         raise ValueError(
             f"x0 ({x0.edge}, {x0.s:.6g}) is off the field's domain: edges "

@@ -102,8 +102,8 @@ class GridParams:
     dt: float
 
     def __post_init__(self):
-        if self.h <= 0 or self.dt <= 0:
-            raise ValueError("h and dt must be positive")
+        if not all(0.0 < x < math.inf for x in (self.h, self.l_max, self.dt)):
+            raise ValueError("h, l_max and dt must be positive and finite")
         if self.l_max < 10 * self.h:
             raise ValueError("l_max must be at least 10 * h")
         n = self.l_max / self.h
@@ -459,10 +459,13 @@ def _evaluate(pol: Policy, system: DiscreteSystem) -> ValueField:
 
 
 def _reconstruct_vertex(field: ValueField, system: DiscreteSystem) -> float:
-    limits = field.values[:, 0]
-    if system.problem.regime.kind == "entry":
-        limits = limits + np.asarray(system.problem.regime.costs)
-    return min(float(limits.min()), system.stall_value)
+    """v(O): the least of vertex.value_branches on the field, a move into
+    edge j at its charge plus u_j(O), the park at its charge alone."""
+    limits = field.values[:, 0].tolist()
+    return min(
+        b.charge if b.kind == "park" else b.charge + limits[b.edge - 1]
+        for b in system.vertex.value_branches
+    )
 
 
 def residual(field: ValueField, system: DiscreteSystem):
@@ -500,15 +503,10 @@ def _ladder(system: DiscreteSystem) -> list[DiscreteSystem]:
 
 
 def _iterate(
-    system: DiscreteSystem,
-    tol: float,
-    max_iters: int | None,
-    init: ValueField | None,
+    system: DiscreteSystem, tol: float, init: ValueField | None
 ) -> tuple[ValueField, SolveReport]:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters is None:
-        max_iters = system.default_max_iters(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     levels = _ladder(system)
     coarsest = levels[0]
     if init is None:
@@ -527,21 +525,17 @@ def _iterate(
     # one evaluation per node to undo (entry-basic at dt = 2h: 91
     # evaluations instead of 6).  A level ends when one sweep moves its
     # field by at most tol*(1-beta), which puts the field within tol of the
-    # level's fixed point, or when the policy stops changing.
-    budget = max_iters
+    # level's fixed point, when the policy stops changing, or at the
+    # level's default_max_iters, a safety bound.
     counts = []
     for level in levels:
-        change = None
         if level is not coarsest:
             old, nodes = field.grid.nodes, level.grid.nodes
             field = ValueField([np.interp(nodes, old, u) for u in field.values], level.grid)
-            if budget > 0:
-                field, _ = sweep(field, level)
-        count = 0
-        current = policy(field, level) if budget > 0 else None
-        while count < budget:
+            field, _ = sweep(field, level)
+        current = policy(field, level)
+        for count in range(1, level.default_max_iters(tol) + 1):
             field = _evaluate(current, level)
-            count += 1
             candidates = _candidates(field, level)
             _, change = _minimize(field, level, *candidates)
             if change <= tol * (1.0 - level.beta):
@@ -550,14 +544,9 @@ def _iterate(
             if improved.same_as(current):
                 break
             current = improved
-        budget -= count
         counts.append(count)
 
     field.vertex_reconstruction = _reconstruct_vertex(field, system)
-    if change is None:
-        # The budget ran out before the requested grid evaluated a policy.
-        _, change = residual(field, system)
-
     bound = system.value_bound + 10 * tol
     if not np.isfinite(field.values).all() or float(np.abs(field.values).max()) > bound:
         raise RuntimeError("converged field violates the a-priori value bound")
@@ -575,15 +564,14 @@ def solve(
     problem: Problem,
     grid: GridParams,
     tol: float = 1e-9,
-    max_iters: int | None = None,
     init: ValueField | None = None,
 ) -> tuple[ValueField, SolveReport]:
     """Solve for the fixed point of sweep() and reconstruct the vertex value.
 
-    max_iters caps the policy evaluations summed over the grid ladder; when
-    it runs out on a coarse grid, that grid's field is interpolated onto
-    the requested one and the report says not converged.  init only seeds
-    the first policy.
+    The report says not converged when the last policy is stable but one
+    sweep still moves the field by more than tol*(1-beta), as it does for a
+    tol below float resolution, or when the requested grid reaches its
+    default_max_iters.  init only seeds the first policy.
 
     Zero switching costs need no other scheme: the vertex update makes the
     limits of all zero-cost edges agree (their shared value is the
@@ -595,7 +583,7 @@ def solve(
     positive it is None.
     """
     system = build_system(problem, grid)
-    field, report = _iterate(system, tol, max_iters, init)
+    field, report = _iterate(system, tol, init)
     field.digest = problem_digest(problem)
     zero = np.asarray(problem.regime.costs) == 0.0
     if not zero.any():
@@ -743,17 +731,22 @@ def field_from_csv(text: str) -> ValueField:
 
 
 def field_from_json(text: str) -> ValueField:
-    """Inverse of field_to_json."""
+    """Inverse of field_to_json.  Raises ValueError for text that is not an
+    object with grid (h, l_max, dt) and edges (edge, s, values)."""
     obj = json.loads(text)
-    g = obj["grid"]
-    grid = GridParams(h=float(g["h"]), l_max=float(g["l_max"]), dt=float(g["dt"]))
-    edges = {
-        item["edge"]: (
-            np.asarray(item["s"], dtype=float),
-            np.asarray(item["values"], dtype=float),
+    try:
+        g = obj["grid"]
+        grid = GridParams(h=float(g["h"]), l_max=float(g["l_max"]), dt=float(g["dt"]))
+        edges = {
+            item["edge"]: (
+                np.asarray(item["s"], dtype=float),
+                np.asarray(item["values"], dtype=float),
+            )
+            for item in obj["edges"]
+        }
+        recon = obj.get("vertex_reconstruction")
+        return _field_from_table(
+            edges, grid, None if recon is None else float(recon), obj.get("problem")
         )
-        for item in obj["edges"]
-    }
-    return _field_from_table(
-        edges, grid, obj.get("vertex_reconstruction"), obj.get("problem")
-    )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a field file: {type(exc).__name__} {exc}") from None

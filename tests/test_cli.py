@@ -114,8 +114,10 @@ def test_solve_all_zero_costs_equal_vertex_values(tmp_path, capsys):
 
 
 def test_solve_nonconvergence_exit_3(tmp_path, capsys):
+    # A tol below float resolution: the policy stops changing first.
     spec = _write_spec(tmp_path)
-    assert main(["solve", spec, "--max-iters", "3"]) == 3
+    assert main(["solve", spec, "--tol", "1e-15"]) == 3
+    assert "converged = false" in capsys.readouterr().out.splitlines()
 
 
 def test_compare_field_with_itself(tmp_path, capsys):
@@ -221,12 +223,12 @@ def test_simulate_steps_with_the_field_dt(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--dt", "0"],
-        ["--dt", "-0.01"],
         ["--horizon", "-1"],
         ["--x0", "5,0.003"],
         ["--x0", "0,0.5"],
         ["--x0", "1,100"],
+        ["--x0", "1,nan"],
+        ["--x0", "1,inf"],
     ],
 )
 def test_simulate_rejects_inputs_that_do_not_fit_exit_1(tmp_path, capsys, flags):
@@ -334,6 +336,63 @@ def test_residual_refuses_a_dt_flag(tmp_path, capsys):
     assert float(capsys.readouterr().out.split("=")[1]) <= 1e-8
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_that_is_not_positive_and_finite_exit_1(tmp_path, capsys, command, tol):
+    spec = _write_spec(tmp_path)
+    assert main([command, spec, "--h", "0.05", "--lmax", "2", "--tol", tol]) == 1
+    assert "error: tol must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve", ["--max-iters", "3"]),
+        ("oracle", ["--max-iters", "3"]),
+        ("simulate", ["--dt", "0.01"]),
+        ("validate", ["--samples", "11"]),
+    ],
+)
+def test_options_the_inputs_fix_are_refused_exit_2(tmp_path, capsys, command, flag):
+    # The iteration caps are fixed safety bounds, a rollout steps with its
+    # field's dt, and validate samples 101 points: none is an option.
+    spec = _write_spec(tmp_path)
+    args = [command, spec, *flag]
+    if command == "simulate":
+        args += ["--field", "field.csv", "--x0", "1,1.0"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        "[1, 2]",
+        "null",
+        '"field"',
+        '{"grid": 1, "edges": []}',
+        '{"grid": {"h": 0.01}, "edges": []}',
+        '{"grid": {"h": 0.01, "l_max": 4, "dt": "x"}, "edges": []}',
+        '{"grid": {"h": 0.01, "l_max": 4, "dt": 0.01}}',
+        '{"grid": {"h": 0.01, "l_max": 4, "dt": 0.01}, "edges": [1]}',
+        '{"grid": {"h": 0.01, "l_max": 4, "dt": 0.01}, "edges": [{"edge": 1}]}',
+        '{"grid": {"h": 0.01, "l_max": 4, "dt": 0.01}, "edges": [{"edge": [1], "s": [], "values": []}]}',
+        '{"grid": {"h": 0.01, "l_max": Infinity, "dt": 0.01}, "edges": []}',
+    ],
+)
+def test_malformed_json_field_exit_1(tmp_path, capsys, text):
+    spec = _write_spec(tmp_path)
+    field = tmp_path / "field.json"
+    field.write_text(text, encoding="utf-8")
+    for args in (["residual", spec, "--field", str(field)], ["compare", str(field), str(field)]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
+
 def test_solver_outputs_are_deterministic(tmp_path):
     spec = _write_spec(tmp_path)
     a = tmp_path / "a.json"
@@ -394,11 +453,11 @@ def test_oracle_reports_like_solve(tmp_path, capsys):
     assert abs(float(lines[0].split("=")[1]) - 0.5) <= 0.05
 
 
-def test_oracle_honours_max_iters(tmp_path, capsys):
+def test_oracle_nonconvergence_exit_3(tmp_path, capsys):
+    # A tol below float resolution: the policy stops changing first.
     spec = _write_spec(tmp_path)
-    assert main(["oracle", spec, "--dt", "0.03", "--max-iters", "1"]) == 3
-    lines = capsys.readouterr().out.splitlines()
-    assert "iterations = 1" in lines and "converged = false" in lines
+    assert main(["oracle", spec, "--dt", "0.03", "--tol", "1e-18"]) == 3
+    assert "converged = false" in capsys.readouterr().out.splitlines()
 
 
 def test_compare_csv_and_json_of_one_field(tmp_path, capsys):

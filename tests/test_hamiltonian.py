@@ -288,10 +288,12 @@ def test_branch_lists_follow_the_scheme_tie_order(edge1, edge2, kind, costs):
     )
 
 
-@pytest.mark.parametrize("function", [solver.DiscreteSystem.__init__, oracle.simulate])
+@pytest.mark.parametrize(
+    "function", [solver.DiscreteSystem.__init__, solver._reconstruct_vertex, oracle.simulate]
+)
 def test_branch_readers_do_not_read_the_regime_kind(function):
-    # The solver's vertex update and the rollout's vertex choice take the
-    # regime's charge rule from vertex_data's branch lists, not by
+    # The solver's vertex update, its v(O) and the rollout's vertex choice
+    # take the regime's charge rule from vertex_data's branch lists, not by
     # branching on the regime themselves.
     tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
     for node in ast.walk(tree):

@@ -115,8 +115,9 @@ def test_vertex_identification():
     assert hash(NetworkPoint(1, 0.0)) == hash(NetworkPoint(3, 0.0))
     assert NetworkPoint(1, 0.5) != NetworkPoint(2, 0.5)
     assert NetworkPoint(1, 0.5) == NetworkPoint(1, 0.5)
-    with pytest.raises(ValueError):
-        NetworkPoint(1, -0.1)
+    for s in (-0.1, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="arclength"):
+            NetworkPoint(1, s)
 
 
 def test_geodesic_examples():

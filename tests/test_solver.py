@@ -43,6 +43,11 @@ def test_grid_params_invariants():
         GridParams(h=0.1, l_max=0.5, dt=0.1)  # l_max < 10 h
     with pytest.raises(ValueError):
         GridParams(h=0.3, l_max=4.0, dt=0.1)  # not an integer multiple
+    # A field file can state any float; a rollout or a sweep steps with it.
+    for bad in (math.nan, math.inf):
+        for grid in ((bad, 4.0, 0.01), (0.01, bad, 0.01), (0.01, 4.0, bad)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                GridParams(*grid)
     grid = GridParams(h=0.01, l_max=4.0, dt=0.01)
     assert grid.n_intervals == 400
 
@@ -605,20 +610,14 @@ def test_stacked_update_matches_per_edge_reference(problem, seed, dt_ratio, ties
 
 
 def test_nonconvergence_reported_not_raised(benchmark_problem, fine_grid):
-    field, report = solve(benchmark_problem, fine_grid, max_iters=5)
+    # A tol below float resolution is never met: each level stops when its
+    # policy stops changing, and the report says not converged.
+    field, report = solve(benchmark_problem, fine_grid, tol=1e-15)
     assert not report.converged
-    assert report.iterations == 5
-
-
-def test_budget_spent_on_coarse_level_returns_requested_grid(benchmark_problem, fine_grid):
-    field, report = solve(benchmark_problem, fine_grid, max_iters=1)
-    assert not report.converged
-    assert report.iterations == 1
-    assert report.level_iterations[0] == 1 and sum(report.level_iterations) == 1
-    assert len(report.level_iterations) > 1
+    beta = math.exp(-benchmark_problem.lam * fine_grid.dt)
+    assert 1e-15 * (1.0 - beta) < report.final_change < 1e-12
+    assert report.iterations == sum(report.level_iterations)
     assert field.grid == fine_grid
-    assert all(u.shape == (fine_grid.n_intervals + 1,) for u in field.values)
-    assert report.final_change > 1e-9
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

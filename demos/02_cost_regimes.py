@@ -18,23 +18,20 @@ grid = jh.GridParams(h=0.01, l_max=4.0, dt=0.01)
 
 for name in ("entry-basic", "entry-expensive", "entry-mixed", "entry-free", "exit-basic"):
     problem = jh.builtin_problem(name)
-    field, report = jh.solve(problem, grid, tol=1e-9)
+    field, _ = jh.solve(problem, grid, tol=1e-9)
     limits = ", ".join(f"u_{e + 1}(O)={u[0]:+.6f}" for e, u in enumerate(field.values))
-    extra = ""
-    if report.mixed_vertex_check is not None:
-        extra = f", shared-component check: {report.mixed_vertex_check}"
     print(f"{name:16s} [{problem.regime.kind}, costs={problem.regime.costs}]")
     print(f"    {limits}")
-    print(f"    v(O) = {field.vertex_reconstruction:+.6f}{extra}")
+    print(f"    v(O) = {field.vertex_reconstruction:+.6f}")
     jump = max(abs(u[0] - field.vertex_reconstruction) for u in field.values)
     print(f"    largest vertex discontinuity: {jump:.6f}")
     print()
 
 print("Reading the output:")
-print(" * entry-basic: v(O)=0.5 sits 0.5 below the edge-1 limit (paying c2")
+print(" * entry-basic: v(O)=0.5 sits 0.5 above the edge-2 limit (paying c2")
 print("   and riding edge 2 beats both stalling and edge 1's running cost);")
 print(" * entry-expensive: c2 >= 1/lambda, so parking at the vertex binds")
-print("   and the discontinuity disappears against edge 2 only;")
-print(" * entry-mixed / entry-free: zero-cost edges pull their limits")
-print("   together; with all costs zero every limit agrees with v(O);")
+print("   and the discontinuity disappears against edge 1 only;")
+print(" * entry-mixed / entry-free: the zero-cost edges' limits u_j(O) agree")
+print("   and dominate the others; with all costs zero every limit agrees with v(O);")
 print(" * exit-basic: leaving edge 1 is free, so its limit equals v(O).")

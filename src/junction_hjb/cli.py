@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Commands: validate, solve, oracle, simulate, residual, compare, example.
-solve and oracle write field files in one format (solver.field_to_csv and
-solver.field_to_json); simulate, residual and compare read them back with
-the solver's readers, with the dt the file states; validate samples 101
-points on [0, 4].
+solve and oracle write field files in one format, as JSON when the --out
+name ends in .json and as CSV otherwise (solver.field_to_json and
+solver.field_to_csv); simulate, residual and compare read them back by the
+same rule with the solver's readers, with the dt the file states; validate
+samples 101 points on [0, 4].
 Exit codes: 0 success, 1 I/O or parse errors (and fields that do not fit
 the problem or share no node with each other, or that were solved for
-another problem), 2 validation violations on [0, l_max] or a comparison
-exceeding its bound, 3 non-convergence (a stable policy above the --tol
-test, or the fixed bound on policy evaluations).
+another problem, and a compare --bound that is NaN or negative), 2
+validation violations on [0, l_max] or a comparison exceeding its bound, 3
+non-convergence (a stable policy above the --tol test, or the fixed bound
+on policy evaluations).
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ def _add_grid_flags(parser: argparse.ArgumentParser):
 
 def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument(
+        "--out", type=str, default=None, help="field file: JSON if it ends in .json, else CSV"
+    )
 
 
 def _grid(args) -> solver.GridParams:
@@ -55,11 +58,6 @@ def _print_report(report: solver.SolveReport):
     print(f"final_change = {report.final_change:.9g}")
     print(f"converged = {'true' if report.converged else 'false'}")
     print("levels = " + ", ".join(str(n) for n in report.level_iterations))
-    if report.mixed_vertex_check is not None:
-        print(
-            "mixed_vertex_check = "
-            f"{'true' if report.mixed_vertex_check else 'false'}"
-        )
 
 
 def cmd_validate(args) -> int:
@@ -106,10 +104,10 @@ def _validate_on(problem, grid: solver.GridParams):
 
 def _write_field(args, field, report, grid_line=True):
     if args.out:
-        if args.format == "csv":
-            text = solver.field_to_csv(field, grid_line=grid_line)
-        else:
+        if args.out.endswith(".json"):
             text = solver.field_to_json(field, report)
+        else:
+            text = solver.field_to_csv(field, grid_line=grid_line)
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
 
@@ -227,6 +225,8 @@ def _nodes(field: solver.ValueField) -> dict[tuple[int, str], float]:
 
 
 def cmd_compare(args) -> int:
+    if args.bound is not None and not args.bound >= 0.0:
+        raise ValueError(f"--bound must be a non-negative number, got {args.bound}")
     table_a = _nodes(_load_field(args.field_a))
     table_b = _nodes(_load_field(args.field_b))
     common = sorted(set(table_a) & set(table_b), key=lambda k: (k[0], float(k[1])))

@@ -100,13 +100,6 @@ class Trajectory:
     # was held there, as the scheme holds its feet.
     left_domain: bool = False
 
-    @property
-    def samples(self) -> list[tuple[float, NetworkPoint]]:
-        return [
-            (float(t), NetworkPoint(int(e), float(s)))
-            for t, e, s in zip(self.times, self.edges, self.positions)
-        ]
-
 
 # Problems are immutable and hashable, so reports can be memoized.
 _cached_validate = functools.lru_cache(maxsize=64)(validate)

@@ -145,9 +145,6 @@ class SolveReport:
     iterations: int
     final_change: float
     converged: bool
-    # With some zero switching cost only: did the converged vertex limits
-    # satisfy the shared-component inequality for the positive-cost edges?
-    mixed_vertex_check: bool | None = None
     # Policy evaluations on each grid of the coarse-to-fine ladder, coarsest
     # first; they sum to iterations.
     level_iterations: tuple[int, ...] = ()
@@ -167,7 +164,6 @@ class DiscreteSystem:
         self.grid = grid
         self.beta = math.exp(-problem.lam * grid.dt)
         self.vertex = vertex
-        self.stall_value = -self.vertex.tangential / problem.lam
         self.n_nodes = grid.n_intervals + 1
         n_edges = problem.n_edges
 
@@ -502,15 +498,26 @@ def _ladder(system: DiscreteSystem) -> list[DiscreteSystem]:
             return levels
 
 
-def _iterate(
-    system: DiscreteSystem, tol: float, init: ValueField | None
+def solve(
+    problem: Problem,
+    grid: GridParams,
+    tol: float = 1e-9,
+    init: ValueField | None = None,
 ) -> tuple[ValueField, SolveReport]:
+    """Solve for the fixed point of sweep() and reconstruct the vertex value.
+
+    The report says not converged when the last policy is stable but one
+    sweep still moves the field by more than tol*(1-beta), as it does for a
+    tol below float resolution, or when the requested grid reaches its
+    default_max_iters.  init only seeds the first policy.
+    """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    system = build_system(problem, grid)
     levels = _ladder(system)
     coarsest = levels[0]
     if init is None:
-        field = constant_field(coarsest, system.sup_bound / system.problem.lam)
+        field = constant_field(coarsest, system.sup_bound / problem.lam)
     else:
         system.check_field(init)
         # Node j of the coarsest grid is node j * 2^k of the requested one.
@@ -550,6 +557,7 @@ def _iterate(
     bound = system.value_bound + 10 * tol
     if not np.isfinite(field.values).all() or float(np.abs(field.values).max()) > bound:
         raise RuntimeError("converged field violates the a-priori value bound")
+    field.digest = problem_digest(problem)
 
     report = SolveReport(
         iterations=sum(counts),
@@ -558,44 +566,6 @@ def _iterate(
         level_iterations=tuple(counts),
     )
     return field, report
-
-
-def solve(
-    problem: Problem,
-    grid: GridParams,
-    tol: float = 1e-9,
-    init: ValueField | None = None,
-) -> tuple[ValueField, SolveReport]:
-    """Solve for the fixed point of sweep() and reconstruct the vertex value.
-
-    The report says not converged when the last policy is stable but one
-    sweep still moves the field by more than tol*(1-beta), as it does for a
-    tol below float resolution, or when the requested grid reaches its
-    default_max_iters.  init only seeds the first policy.
-
-    Zero switching costs need no other scheme: the vertex update makes the
-    limits of all zero-cost edges agree (their shared value is the
-    continuous component).  When some cost is zero, the report's
-    mixed_vertex_check says whether the converged limits satisfy the
-    shared-component inequality to within 10*tol: with entry costs the
-    shared value dominates every positive-cost edge limit, with exit costs
-    (a mirrored construction) it is dominated by them.  With every cost
-    positive it is None.
-    """
-    system = build_system(problem, grid)
-    field, report = _iterate(system, tol, init)
-    field.digest = problem_digest(problem)
-    zero = np.asarray(problem.regime.costs) == 0.0
-    if not zero.any():
-        return field, report
-    limits = field.values[:, 0]
-    shared = limits[zero].max()
-    slack = 10 * tol
-    if problem.regime.kind == "entry":
-        ok = (shared >= limits[~zero] - slack).all()
-    else:
-        ok = (shared <= limits[~zero] + slack).all()
-    return field, replace(report, mixed_vertex_check=bool(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +629,6 @@ def field_to_json(field: ValueField, report: SolveReport | None = None) -> str:
             "iterations": report.iterations,
             "final_change": float(report.final_change),
             "converged": bool(report.converged),
-            "mixed_vertex_check": report.mixed_vertex_check,
             "level_iterations": list(report.level_iterations),
         }
     return json.dumps(obj) + "\n"

@@ -211,8 +211,10 @@ def test_criterion_8_zero_cost_limit():
     assert spread <= slack
 
     mixed = jh.builtin_problem("entry-mixed")  # c = (10, 0)
-    mfield, mreport = jh.solve(mixed, GRID, tol=TOL)
-    assert mreport.mixed_vertex_check is True
+    mfield, _ = jh.solve(mixed, GRID, tol=TOL)
+    # The zero-cost edge's limit (the shared value) dominates edge 1's.
+    mlimits = mfield.values[:, 0]
+    assert mlimits[1] >= mlimits[0] - slack
     osol = jh.oracle_solve(mixed, GRID, tol=TOL)
     mask = _interior_mask(GRID)
     edge1_gap = float(np.abs(mfield.values[0][mask] - osol.values[0][mask]).max())

@@ -151,6 +151,20 @@ def test_compare_exceeding_bound(tmp_path, capsys):
     assert main(["compare", str(a), str(b), "--bound", "1e-6"]) == 2
 
 
+@pytest.mark.parametrize("bound", ["nan", "-1", "-0.5"])
+def test_compare_bound_that_is_nan_or_negative_exit_1(tmp_path, capsys, bound):
+    # sup_diff > nan is never true, so a NaN bound would pass any pair.
+    spec_a = _write_spec(tmp_path)
+    spec_b = tmp_path / "expensive.spec"
+    spec_b.write_text(builtin_spec("entry-expensive"), encoding="utf-8")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for spec, out in ((spec_a, a), (str(spec_b), b)):
+        assert main(["solve", spec, "--h", "0.05", "--lmax", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(a), str(b), "--bound", bound]) == 1
+    assert "error: --bound must be a non-negative number" in capsys.readouterr().err
+
+
 def test_compare_shape_mismatch_exit_1(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -301,7 +315,7 @@ def test_solve_reports_level_iterations(tmp_path, capsys):
 
     spec = _write_spec(tmp_path)
     out = tmp_path / "field.json"
-    assert main(["solve", spec, "--out", str(out), "--format", "json"]) == 0
+    assert main(["solve", spec, "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     levels = [int(n) for n in next(l for l in lines if l.startswith("levels = "))[9:].split(",")]
     iterations = int(next(l for l in lines if l.startswith("iterations = ")).split("=")[1])
@@ -351,11 +365,14 @@ def test_tol_that_is_not_positive_and_finite_exit_1(tmp_path, capsys, command, t
         ("oracle", ["--max-iters", "3"]),
         ("simulate", ["--dt", "0.01"]),
         ("validate", ["--samples", "11"]),
+        ("solve", ["--format", "json"]),
+        ("oracle", ["--format", "json"]),
     ],
 )
 def test_options_the_inputs_fix_are_refused_exit_2(tmp_path, capsys, command, flag):
     # The iteration caps are fixed safety bounds, a rollout steps with its
-    # field's dt, and validate samples 101 points: none is an option.
+    # field's dt, validate samples 101 points, and the --out name picks the
+    # field syntax: none is an option.
     spec = _write_spec(tmp_path)
     args = [command, spec, *flag]
     if command == "simulate":
@@ -393,19 +410,32 @@ def test_malformed_json_field_exit_1(tmp_path, capsys, text):
         assert "error:" in captured.err and "Traceback" not in captured.err
 
 
+def test_out_name_picks_the_field_syntax(tmp_path, capsys):
+    # A .json name gets JSON and any other name CSV, the rule the readers
+    # of residual, simulate and compare apply.
+    spec = _write_spec(tmp_path)
+    f_json, f_csv = tmp_path / "f.json", tmp_path / "f.csv"
+    assert main(["solve", spec, "--out", str(f_json)]) == 0
+    assert main(["solve", spec, "--out", str(f_csv)]) == 0
+    assert main(["residual", spec, "--field", str(f_json)]) == 0
+    assert main(["compare", str(f_json), str(f_csv), "--bound", "0"]) == 0
+    assert f_json.read_text(encoding="utf-8").startswith("{")
+    assert f_csv.read_text(encoding="utf-8").startswith("edge,s,value")
+
+
 def test_solver_outputs_are_deterministic(tmp_path):
     spec = _write_spec(tmp_path)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    assert main(["solve", spec, "--out", str(a), "--format", "json"]) == 0
-    assert main(["solve", spec, "--out", str(b), "--format", "json"]) == 0
+    assert main(["solve", spec, "--out", str(a)]) == 0
+    assert main(["solve", spec, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_json_field_loads_back(tmp_path):
     spec = _write_spec(tmp_path)
     out = tmp_path / "field.json"
-    assert main(["solve", spec, "--out", str(out), "--format", "json"]) == 0
+    assert main(["solve", spec, "--out", str(out)]) == 0
     field = jh.field_from_json(out.read_text(encoding="utf-8"))
     assert field.vertex_reconstruction is not None
 
@@ -424,8 +454,8 @@ def test_compare_json_fields_including_oracle(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     f_json = tmp_path / "field.json"
     o_json = tmp_path / "oracle.json"
-    assert main(["solve", spec, "--out", str(f_json), "--format", "json"]) == 0
-    assert main(["oracle", spec, "--out", str(o_json), "--format", "json"]) == 0
+    assert main(["solve", spec, "--out", str(f_json)]) == 0
+    assert main(["oracle", spec, "--out", str(o_json)]) == 0
     capsys.readouterr()
     assert main(["compare", str(f_json), str(o_json), "--bound", "0.1"]) == 0
     out = capsys.readouterr().out
@@ -438,7 +468,7 @@ def test_oracle_reports_like_solve(tmp_path, capsys):
 
     spec = _write_spec(tmp_path)
     out = tmp_path / "oracle.json"
-    assert main(["oracle", spec, "--dt", "0.03", "--out", str(out), "--format", "json"]) == 0
+    assert main(["oracle", spec, "--dt", "0.03", "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"v\(O\) = \S+", lines[0])
     assert lines[1] == "method = policy iteration (iterations count policy evaluations)"
@@ -465,7 +495,7 @@ def test_compare_csv_and_json_of_one_field(tmp_path, capsys):
     a_csv = tmp_path / "a.csv"
     a_json = tmp_path / "a.json"
     assert main(["solve", spec, "--out", str(a_csv)]) == 0
-    assert main(["solve", spec, "--out", str(a_json), "--format", "json"]) == 0
+    assert main(["solve", spec, "--out", str(a_json)]) == 0
     capsys.readouterr()
     assert main(["compare", str(a_csv), str(a_json), "--bound", "0"]) == 0
     assert "sup_diff = 0" in capsys.readouterr().out.splitlines()
@@ -490,7 +520,7 @@ def test_oracle_csv_reads_back_on_its_grid(tmp_path):
 def test_field_of_another_problem_exit_1(tmp_path, capsys, fmt, command):
     spec = _write_spec(tmp_path)
     field = tmp_path / f"field.{fmt}"
-    assert main(["solve", spec, "--out", str(field), "--format", fmt]) == 0
+    assert main(["solve", spec, "--out", str(field)]) == 0
     other = tmp_path / "expensive.spec"
     other.write_text(builtin_spec("entry-expensive"), encoding="utf-8")
     args = [command, str(other), "--field", str(field)]
@@ -518,7 +548,7 @@ def test_oracle_field_has_no_vertex_limits_exit_1(tmp_path, capsys, fmt, command
     # rollout or a residual must not consume.
     spec = _write_spec(tmp_path)
     field = tmp_path / f"oracle.{fmt}"
-    assert main(["oracle", spec, "--out", str(field), "--format", fmt]) == 0
+    assert main(["oracle", spec, "--out", str(field)]) == 0
     args = [command, spec, "--field", str(field)]
     if command == "simulate":
         args += ["--x0", "1,1.0", "--horizon", "1"]

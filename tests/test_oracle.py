@@ -164,8 +164,7 @@ def _cli_oracle_file(problem, tmp_path, fmt):
     spec = tmp_path / "problem.txt"
     spec.write_text(jh.format_problem(problem), encoding="utf-8")
     out = tmp_path / f"oracle.{fmt}"
-    args = ["oracle", str(spec), "--h", "0.1", "--lmax", "1", "--out", str(out)]
-    assert main(args + ["--format", fmt]) == 0
+    assert main(["oracle", str(spec), "--h", "0.1", "--lmax", "1", "--out", str(out)]) == 0
     return out.read_text(encoding="utf-8")
 
 
@@ -628,7 +627,7 @@ def test_trajectory_exports(benchmark_problem, benchmark_solution):
     sidecar = switches_to_csv(traj)
     assert sidecar.splitlines()[0] == "kind,edge,time,charged_cost"
     assert len(sidecar.splitlines()) == len(traj.switches) + 1
-    assert traj.samples[0] == (0.0, NetworkPoint(1, 0.3))
+    assert (traj.times[0], traj.edges[0], traj.positions[0]) == (0.0, 1, 0.3)
 
 
 # Both edges move only at unit speed, so the only stationary control is the

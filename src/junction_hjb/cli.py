@@ -11,7 +11,8 @@ the problem or share no node with each other, or that were solved for
 another problem, and a compare --bound that is NaN or negative), 2
 validation violations on [0, l_max] or a comparison exceeding its bound, 3
 non-convergence (a stable policy above the --tol test, or the fixed bound
-on policy evaluations).
+on policy evaluations), 4 usage errors (an unknown command or flag, a
+missing or malformed argument).
 """
 
 from __future__ import annotations
@@ -262,8 +263,16 @@ def cmd_example(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, not argparse's 2; subcommand parsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="junction-hjb",
         description="Discounted optimal control on a junction with entry or "
         "exit costs: validate problem files, solve the Hamilton-Jacobi "

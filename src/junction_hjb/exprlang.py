@@ -252,7 +252,10 @@ def parse(source: str) -> Expression:
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(_tokenize(source))
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ExprSyntaxError("formula nested too deeply", parser.current.offset) from None
     tok = parser.current
     if tok.kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.offset)

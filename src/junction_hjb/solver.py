@@ -48,10 +48,11 @@ its fixed point by Howard's policy iteration in finitely many steps:
 evaluate the current policy exactly by solving the linear system
 u = c + beta * P u, then switch every node to its greedy action
 (policy()).  On each edge the policy's rows form a strictly diagonally
-dominant banded system (a foot lies within dt*sup/h + 1 nodes), solved
-for all edges at once by block cyclic reduction in ceil(log2(n/b))
-vectorized levels for block size b, with the vertex limit kept as a
-second right-hand side; an N x N solve then couples the vertex limits.
+dominant banded system (a foot lies within dt*sup/h + 1 nodes), written
+as a block tridiagonal one with the vertex limit as a second right-hand
+side and solved for all edges at once by block cyclic reduction, whose
+vectorized levels end in one dense solve of DENSE_UNKNOWNS unknowns; an
+N x N solve then couples the vertex limits.
 To keep the number of policy evaluations small as h shrinks, it runs on
 a ladder of grids, each coarser one every other node of the one before
 (h and dt doubled, the last node dropped when n_intervals is odd), for
@@ -64,6 +65,7 @@ counts policy evaluations over all grids.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -161,56 +163,53 @@ class DiscreteSystem:
 
     def __init__(self, problem: Problem, grid: GridParams, vertex: VertexData, samples: EdgeSamples):
         self.problem = problem
-        self.grid = grid
-        self.beta = math.exp(-problem.lam * grid.dt)
         self.vertex = vertex
-        self.n_nodes = grid.n_intervals + 1
-        n_edges = problem.n_edges
+        # Vertex branches as (N, branches) tables, row e in the order of
+        # vertex.limit_branches[e]: the edge and action each moves along, and
+        # its charge.  A park takes no step (branch_moves False, cost 0).
+        rows = vertex.limit_branches
+        acts = [[vertex.edges[b.edge - 1][b.action] for b in row] for row in rows]
+        self.branch_moves = np.array([[b.kind != "park" for b in row] for row in rows])
+        self.branch_edge = np.array([[b.edge - 1 for b in row] for row in rows])
+        self.branch_const = np.array([[b.charge for b in row] for row in rows], dtype=float)
+        self.branch_v = np.array([[a.velocity for a in row] for row in acts], dtype=float)
+        self.branch_ell = np.where(self.branch_moves, [[a.cost for a in row] for row in acts], 0.0)
+        self._set_grid(grid, samples)
 
+    def _set_grid(self, grid: GridParams, samples: EdgeSamples):
+        self.grid = grid
+        self.beta = math.exp(-self.problem.lam * grid.dt)
+        self.n_nodes = grid.n_intervals + 1
         self.samples = samples
         sup = samples.sup()
         if grid.dt * sup > grid.l_max / 4:
             raise ValueError(f"dt too large: dt * bound = {grid.dt * sup:g} exceeds l_max/4")
         self.sup_bound = sup
-        self.value_bound = sup / problem.lam + float(sum(problem.regime.costs))
+        self.value_bound = sup / self.problem.lam + float(sum(self.problem.regime.costs))
 
         # Interior data as (N, n+1, K) arrays, one column per control.
         s = grid.nodes
         self.interior_lo, self.interior_w = self._foot_weights(s[:, None] + grid.dt * samples.f)
         self.interior_stage = grid.dt * samples.ell
         # The same lower nodes as indices into field.values.ravel().
-        offsets = self.n_nodes * np.arange(n_edges)
+        offsets = self.n_nodes * np.arange(self.problem.n_edges)
         self.interior_at = self.interior_lo + offsets[:, None, None]
+        # Each branch's one step from the vertex, alike.
+        lo, self.branch_w = self._foot_weights(grid.dt * self.branch_v)
+        self.branch_at = lo + offsets[self.branch_edge]
+        self.branch_stage = grid.dt * self.branch_ell
 
-        # Vertex data: every edge's vertex actions as (v >= 0, ell) pairs in
-        # one flat list, edge by edge, with the edge index of each pair.
-        pairs = [(e, a.velocity, a.cost) for e, acts in enumerate(vertex.edges) for a in acts]
-        edge, v, pell = np.array(pairs, dtype=float).reshape(-1, 3).T
-        self.pair_edge = edge.astype(int)
-        self.pair_lo, self.pair_w = self._foot_weights(grid.dt * v)
-        self.pair_stage = grid.dt * pell
-        self.pair_at = self.pair_lo + offsets[self.pair_edge]
+    # Per-edge views, unused here; kept, as workers is, because
+    # perfbench/run.py --trace 1 concatenates them to count sweep bytes.
+    foot_lo = property(lambda self: self._by_edge(self.interior_lo))
+    foot_w = property(lambda self: self._by_edge(self.interior_w))
+    stage = property(lambda self: self._by_edge(self.interior_stage))
+    vertex_lo = property(lambda self: list(self.branch_at))
+    vertex_w = property(lambda self: list(self.branch_w))
+    vertex_stage = property(lambda self: list(self.branch_stage))
 
-        # Edge e's vertex branches as vertex.limit_branches[e] lists them:
-        # branch_pair their pair indices (len(pairs) parks), branch_const their charges.
-        start = np.cumsum([0] + [len(acts) for acts in vertex.edges]).tolist()
-        rows = vertex.limit_branches
-        self.branch_pair = np.array([
-            [len(pairs) if b.kind == "park" else start[b.edge - 1] + b.action for b in row]
-            for row in rows
-        ])
-        self.branch_const = np.array([[b.charge for b in row] for row in rows], dtype=float)
-
-        # Per-edge views, unused here; kept, as workers is, because
-        # perfbench/run.py --trace 1 concatenates them to count sweep bytes.
-        self.foot_lo, self.foot_w, self.stage = (
-            [a[e, :, :k] for e, k in enumerate(samples.real.sum(axis=1))]
-            for a in (self.interior_lo, self.interior_w, self.interior_stage)
-        )
-        cut = np.searchsorted(self.pair_edge, np.arange(1, n_edges))
-        self.vertex_lo, self.vertex_w, self.vertex_stage = (
-            np.split(a, cut) for a in (self.pair_lo, self.pair_w, self.pair_stage)
-        )
+    def _by_edge(self, a):
+        return [a[e, :, :k] for e, k in enumerate(self.samples.real.sum(axis=1))]
 
     def _foot_weights(self, feet: np.ndarray):
         """Clip feet to the grid and split into (lower index, upper weight)."""
@@ -247,7 +246,7 @@ def constant_field(system: DiscreteSystem, value: float) -> ValueField:
 def _candidates(field: ValueField, system: DiscreteSystem):
     """Right-hand side of the update for every action: an (N, n_nodes, K)
     array for the interior and an (N, branches) array, in the order of
-    system.branch_pair, for the vertex limits."""
+    the system's branch tables, for the vertex limits."""
     system.check_field(field)
     u = field.values.ravel()
 
@@ -255,9 +254,8 @@ def _candidates(field: ValueField, system: DiscreteSystem):
         return stage + system.beta * (u[at] * (1.0 - w) + u[at + 1] * w)
 
     interior = one_step(system.interior_at, system.interior_w, system.interior_stage)
-    # One-step values of leaving the vertex along each pair, then parking.
-    steps = one_step(system.pair_at, system.pair_w, system.pair_stage)
-    vertex = system.branch_const + np.append(steps, 0.0)[system.branch_pair]
+    steps = one_step(system.branch_at, system.branch_w, system.branch_stage)
+    vertex = system.branch_const + np.where(system.branch_moves, steps, 0.0)
     return interior, vertex
 
 
@@ -269,7 +267,9 @@ def sweep(field: ValueField, system: DiscreteSystem) -> tuple[ValueField, float]
 
 def _minimize(field, system, interior, vertex) -> tuple[ValueField, float]:
     """sweep() from the candidates of field."""
-    new = interior.min(axis=-1)
+    new = interior[..., 0].copy()
+    for j in range(1, interior.shape[-1]):  # numpy's min over the short last axis is slower
+        np.minimum(new, interior[..., j], out=new)
     new[:, 0] = vertex.min(axis=-1)
     return ValueField(new, system.grid), float(np.abs(new - field.values).max())
 
@@ -277,7 +277,8 @@ def _minimize(field, system, interior, vertex) -> tuple[ValueField, float]:
 @dataclass(frozen=True, eq=False)
 class Policy:
     """One action per node: controls[e, k] indexes edge e's controls at
-    node k (unused at k = 0), vertex[e] indexes system.branch_pair[e]."""
+    node k (unused at k = 0), vertex[e] indexes row e of the system's branch
+    tables."""
 
     controls: np.ndarray
     vertex: np.ndarray
@@ -295,9 +296,9 @@ def _argmin(candidates: np.ndarray, current: np.ndarray | None) -> np.ndarray:
     best = candidates.argmin(axis=-1)
     if current is None:
         return best
-    kept = np.take_along_axis(candidates, current[..., None], axis=-1)[..., 0]
-    low = np.take_along_axis(candidates, best[..., None], axis=-1)[..., 0]
-    return np.where(kept <= low, current, best)
+    rows = candidates.reshape(-1, candidates.shape[-1])
+    i, current, flat = np.arange(len(rows)), current.ravel(), best.ravel()
+    return np.where(rows[i, current] <= rows[i, flat], current, flat).reshape(best.shape)
 
 
 def policy(
@@ -316,85 +317,68 @@ def _greedy(interior, vertex, current: Policy | None) -> Policy:
     return Policy(_argmin(interior, current.controls), _argmin(vertex, current.vertex))
 
 
-def _banded_solve(band: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
-    """Solve a batch of strictly row diagonally dominant banded systems by
-    block cyclic reduction.
+# Cyclic reduction ends in one dense solve at this many unknowns.  On a 2-core
+# VM a dense solve beats one more level up to 56-72 unknowns (block sizes 2, 3),
+# but at 64 the dense LU's rounding flipped ties in seed policies: 35 more
+# evaluations on 360 solves (dt/h up to 8), against 8 at 48 at the same speed.
+DENSE_UNKNOWNS = 48
 
-    band[s, r, p + d] is the coefficient of unknown r + d in row r of
-    system s (p bands below the diagonal, q = width - 1 - p above; entries
-    that point outside 0..n-1 must be zero), and rhs[s, r] holds the
-    right-hand sides of row r.  With block size b = max(p, q, 1) each
-    system is block tridiagonal; n is padded to a multiple of b with
-    identity rows, then _cyclic_reduction solves all systems at once.
 
-    No pivoting is needed across blocks: odd-even reduction is Gaussian
+def _cyclic_reduction(a: np.ndarray) -> np.ndarray:
+    """Solve a batch of block tridiagonal systems, a[s, i] block row i of
+    system s as b rows [lower | diag | upper | rhs]: the b x b blocks of
+    x[i-1], x[i] and x[i+1] (zero where those do not exist), then the
+    right-hand sides; a is overwritten.  Returns x as (systems, blocks, b,
+    right-hand sides).
+
+    Each level eliminates the odd blocks and recurses on the even ones,
+    until one block or DENSE_UNKNOWNS unknowns are left.  The systems must
+    be strictly row diagonally dominant: odd-even reduction is Gaussian
     elimination of a symmetrically permuted matrix, which keeps the
-    diagonal on the diagonal, and every Schur complement of a strictly
-    row diagonally dominant matrix is again strictly row diagonally
-    dominant, so every diagonal block a level inverts is nonsingular and
-    no row exchanges between blocks are needed.
+    diagonal on the diagonal, and every Schur complement and diagonal
+    block of such a matrix is again strictly row diagonally dominant, so
+    Gauss-Jordan elimination inverts the diagonal blocks without pivoting.
     """
-    n_sys, n, width = band.shape
-    q = width - 1 - p
-    b = max(p, q, 1)
-    m = -(-n // b)
-    rows = np.arange(m * b)
-    cols = (rows % b)[:, None] + np.arange(-p, q + 1) + b
-    # wide[s, r, c]: coefficient of unknown r - r % b - b + c in row r, so
-    # columns [0, b), [b, 2b) and [2b, 3b) hold the lower, diagonal and
-    # upper blocks of row block r // b.
-    wide = np.zeros((n_sys, m * b, 3 * b))
-    wide[:, rows[:n, None], cols[:n]] = band
-    wide[:, rows[n:], rows[n:] % b + b] = 1.0
-    wide = wide.reshape(n_sys, m, b, 3 * b)
-    padded = np.zeros((n_sys, m * b, rhs.shape[2]))
-    padded[:, :n] = rhs
-    x = _cyclic_reduction(
-        wide[..., :b],
-        wide[..., b : 2 * b],
-        wide[..., 2 * b :],
-        padded.reshape(n_sys, m, b, -1),
-    )
-    return x.reshape(n_sys, m * b, -1)[:, :n]
+    n_sys, m, b, width = a.shape
+    if m == 1 or m * b <= DENSE_UNKNOWNS:
+        # Block row i sits in columns (i-1)b .. (i+2)b of the matrix with b
+        # zero columns added on either side.
+        row = np.arange(m * b)[:, None]
+        at = row * ((m + 2) * b + 1) - row % b + np.arange(3 * b)
+        dense = np.zeros((n_sys, m * b, (m + 2) * b))
+        dense.reshape(n_sys, -1)[:, at.ravel()] = a[..., : 3 * b].reshape(n_sys, -1)
+        x = np.linalg.solve(dense[..., b:-b], a[..., 3 * b :].reshape(n_sys, m * b, -1))
+        return x.reshape(n_sys, m, b, -1)
 
+    # In place, each odd block row 2k+1 becomes diag^-1 times itself, so
+    # that x[2k+1] = rhs - lower x[2k] - upper x[2k+2] in its columns.
+    odd, even = a[:, 1::2], a[:, ::2]
+    half = odd.shape[1]
+    for c in range(b):
+        pivot = odd[..., c : c + 1, :] / odd[..., c : c + 1, b + c : b + c + 1]
+        odd -= odd[..., b + c : b + c + 1] * pivot
+        odd[..., c : c + 1, :] = pivot
+    # Then the even blocks, which read their odd neighbours (below for all
+    # but block 0, above for the first half), become the reduced system.
+    below, above = even[:, 1:], even[:, :half]
+    left = below[..., :b] @ odd[:, : m - half - 1]
+    right = above[..., 2 * b : 3 * b] @ odd
+    below[..., b : 2 * b] -= left[..., 2 * b : 3 * b]
+    below[..., 3 * b :] -= left[..., 3 * b :]
+    np.negative(left[..., :b], out=below[..., :b])
+    above[..., b : 2 * b] -= right[..., :b]
+    above[..., 3 * b :] -= right[..., 3 * b :]
+    np.negative(right[..., 2 * b : 3 * b], out=above[..., 2 * b : 3 * b])
 
-def _cyclic_reduction(lower, diag, upper, rhs):
-    """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i] over
-    the block axis (axis 1) for every system at once; lower[:, 0] and
-    upper[:, -1] are ignored.  Each level eliminates the odd blocks with
-    one batched solve and recurses on the even ones, so a system of m
-    blocks takes ceil(log2 m) levels."""
-    m, b = diag.shape[1], diag.shape[2]
-    if m == 1:
-        return np.linalg.solve(diag, rhs)
-    # odd[k] = diag^-1 [lower | upper | rhs] of block 2k+1, so that
-    # x[2k+1] = odd[k][:, 2b:] - odd[k][:, :b] x[2k] - odd[k][:, b:2b] x[2k+2].
-    odd = np.linalg.solve(
-        diag[:, 1::2], np.concatenate((lower[:, 1::2], upper[:, 1::2], rhs[:, 1::2]), -1)
+    # x gets a zero block m, which the last odd block reads when m is even.
+    x = np.zeros((n_sys, m + 1, b, width - 3 * b))
+    x[:, :m:2] = _cyclic_reduction(even)
+    x[:, 1:m:2] = (
+        odd[..., 3 * b :]
+        - odd[..., :b] @ x[:, : m - 1 : 2]
+        - odd[..., 2 * b : 3 * b] @ x[:, 2 : m + 1 : 2]
     )
-    # Even block 2k reads odd blocks 2k-1 and 2k+1: pad so both exist.
-    zero = np.zeros_like(odd[:, :1])
-    odd = np.concatenate([zero, odd] + [zero] * (m % 2), axis=1)
-    left = lower[:, ::2] @ odd[:, :-1]
-    right = upper[:, ::2] @ odd[:, 1:]
-    x_even = _cyclic_reduction(
-        -left[..., :b],
-        diag[:, ::2] - left[..., b : 2 * b] - right[..., :b],
-        -right[..., b : 2 * b],
-        rhs[:, ::2] - left[..., 2 * b :] - right[..., 2 * b :],
-    )
-    x = np.empty_like(rhs)
-    x[:, ::2] = x_even
-    # Odd block 2k+1 reads even blocks 2k and 2k+2: pad so both exist.
-    zero = np.zeros_like(x_even[:, :1])
-    x_even = np.concatenate([x_even] + [zero] * (1 - m % 2), axis=1)
-    odd = odd[:, 1 : 1 + m // 2]
-    x[:, 1::2] = (
-        odd[..., 2 * b :]
-        - odd[..., :b] @ x_even[:, :-1]
-        - odd[..., b : 2 * b] @ x_even[:, 1:]
-    )
-    return x
+    return x[:, :m]
 
 
 def _evaluate(pol: Policy, system: DiscreteSystem) -> ValueField:
@@ -416,42 +400,44 @@ def _evaluate(pol: Policy, system: DiscreteSystem) -> ValueField:
         for a in (system.interior_lo, system.interior_w, system.interior_stage)
     )
 
-    # Row k reads node lo with weight beta*(1-w) and node lo+1 with beta*w;
-    # node m > 0 is unknown m-1 of the edge's system.
+    # Row k reads node lo with weight beta*(1-w) and node lo+1 with beta*w,
+    # node j > 0 being unknown j-1 and u[0] moving to z.  For b the rows'
+    # reach, blocks of b rows (identity rows pad the last) are block
+    # tridiagonal; in the flat array row k starts at row[k], and its entry
+    # for node j sits at at[k] + j.
     interior = lo >= 1
-    p = int(max(0, (k - lo - 1).max(), (k - lo)[interior].max(initial=0)))
-    q = int(max(0, (lo + 1 - k).max()))
-    band = np.zeros((n_edges, n, p + q + 1))
-    band[:, :, p] = 1.0
-    rows = np.broadcast_to(np.arange(n), lo.shape)
-    edges = np.broadcast_to(np.arange(n_edges)[:, None], lo.shape)
-    band[edges, rows, lo + 1 - k + p] -= beta * w
-    band[edges, rows, np.where(interior, lo - k + p, p)] -= np.where(
-        interior, beta * (1.0 - w), 0.0
-    )
-    rhs = np.stack([stage, np.where(interior, 0.0, beta * (1.0 - w))], axis=-1)
-    solution = _banded_solve(band, rhs, p)
+    reach = k - lo
+    b = max(1, int((reach - ~interior).max()), 1 - int(reach.min()))
+    m = -(-n // b)
+    width = 3 * b + 2
+    a = np.zeros((n_edges, m, b, width))
+    a[..., b : 2 * b] = np.eye(b)
+    row = (np.arange(n_edges)[:, None] * m * b + k - 1) * width
+    at = row + (k - 1) % b + b - k
+    flat = a.reshape(-1)
+    flat[row + 3 * b] = stage
+    flat[at + lo + 1] -= beta * w
+    lower = beta * (1.0 - w)
+    flat[np.where(interior, at + lo, row + 3 * b + 1)] -= np.where(interior, lower, -lower)
+    solution = _cyclic_reduction(a).reshape(n_edges, m * b, 2)
     # u_j[m] = y[j, m] + z[j, m] * u_j[0] at every node m, the vertex included.
-    y = np.concatenate((np.zeros((n_edges, 1)), solution[..., 0]), axis=1)
-    z = np.concatenate((np.ones((n_edges, 1)), solution[..., 1]), axis=1)
+    yz = np.empty((2, n_edges, n_nodes))
+    yz[:, :, 0] = [[0.0], [1.0]]
+    yz[:, :, 1:] = solution[:, :n].transpose(2, 0, 1)
+    y, z = yz.reshape(2, -1)
 
-    # Vertex rows: the chosen branch of each edge in movers moves along a
-    # pair into edge target and reads its nodes vlo and vlo + 1; parking
-    # reads none.
-    all_edges = np.arange(n_edges)
-    pair = system.branch_pair[all_edges, pol.vertex]
-    const = system.branch_const[all_edges, pol.vertex]
-    movers = all_edges[pair < system.pair_edge.size]
-    pair = pair[movers]
-    target = system.pair_edge[pair]
-    vlo, vw = system.pair_lo[pair], system.pair_w[pair]
+    # Vertex rows: edge e's chosen branch moves into edge target and reads
+    # nodes foot and foot + 1 of the flat field with weights w0 and w1, both
+    # 0 for a park, at its charge plus its stage cost.
+    e, v = np.arange(n_edges), pol.vertex
+    foot, target, w = system.branch_at[e, v], system.branch_edge[e, v], system.branch_w[e, v]
+    scale = np.where(system.branch_moves[e, v], beta, 0.0)
+    w0, w1 = scale * (1.0 - w), scale * w
+    const = system.branch_const[e, v] + system.branch_stage[e, v]
     matrix = np.eye(n_edges)
-    const[movers] += system.pair_stage[pair]
-    for m, weight in ((vlo, beta * (1.0 - vw)), (vlo + 1, beta * vw)):
-        const[movers] += weight * y[target, m]
-        matrix[movers, target] -= weight * z[target, m]
-    limits = np.linalg.solve(matrix, const)
-    return ValueField(y + z * limits[:, None], system.grid)
+    matrix[e, target] -= w0 * z[foot] + w1 * z[foot + 1]
+    limits = np.linalg.solve(matrix, const + w0 * y[foot] + w1 * y[foot + 1])
+    return ValueField(yz[0] + yz[1] * limits[:, None], system.grid)
 
 
 def _reconstruct_vertex(field: ValueField, system: DiscreteSystem) -> float:
@@ -480,10 +466,11 @@ def _ladder(system: DiscreteSystem) -> list[DiscreteSystem]:
     with system.  Each coarser grid is every other node of the one before:
     h and dt doubled (which keeps dt/h fixed), and with an odd number of
     intervals the last node dropped, so l_max shrinks by h.  Every level
-    shares the vertex data, which does not depend on the grid, and takes
-    its rows of the finer sample table: node k of the coarse grid is node
-    2k of the finer one, the same double.  The ladder stops at the first
-    grid that GridParams or the dt check rejects."""
+    is a copy of the finer one that shares its vertex data and branch
+    tables, which do not depend on the grid, and takes its rows of the
+    finer sample table: node k of the coarse grid is node 2k of the finer
+    one, the same double.  The ladder stops at the first grid that
+    GridParams or the dt check rejects."""
     levels = [system]
     while True:
         fine = levels[0]
@@ -492,8 +479,9 @@ def _ladder(system: DiscreteSystem) -> list[DiscreteSystem]:
         rows = slice(0, fine.n_nodes - odd, 2)
         try:
             grid = GridParams(h=2 * g.h, l_max=g.l_max - odd * g.h, dt=2 * g.dt)
-            samples = replace(t, f=t.f[:, rows], ell=t.ell[:, rows])
-            levels.insert(0, DiscreteSystem(fine.problem, grid, fine.vertex, samples))
+            coarse = copy.copy(fine)
+            coarse._set_grid(grid, replace(t, f=t.f[:, rows], ell=t.ell[:, rows]))
+            levels.insert(0, coarse)
         except ValueError:
             return levels
 

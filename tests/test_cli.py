@@ -53,6 +53,29 @@ def test_module_runs_the_cli():
     assert out.stdout == GOLDEN_ENTRY_BASIC
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["solve"],
+        ["oracle"],
+        ["simulate", "--field", "field.csv", "--x0", "1,1.0"],
+        ["residual", "--field", "field.csv"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_formula_nested_too_deeply_exit_1(tmp_path, capsys, command):
+    # Parsing recurses once per nesting level: a formula deeper than the
+    # interpreter's stack is a syntax error, not a traceback.
+    deep = "(" * 300 + "a" + ")" * 300
+    path = tmp_path / "deep.spec"
+    path.write_text(builtin_spec("entry-basic").replace("f = a", f"f = {deep}", 1), encoding="utf-8")
+    assert main([command[0], str(path), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "formula nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_validate_ok(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     assert main(["validate", spec]) == 0
@@ -344,7 +367,7 @@ def test_residual_refuses_a_dt_flag(tmp_path, capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["residual", spec, "--field", str(field), "--dt", "0.01"])
-    assert exc.value.code == 2
+    assert exc.value.code == 4
     assert "unrecognized arguments: --dt" in capsys.readouterr().err
     assert main(["residual", spec, "--field", str(field)]) == 0
     assert float(capsys.readouterr().out.split("=")[1]) <= 1e-8
@@ -356,6 +379,25 @@ def test_tol_that_is_not_positive_and_finite_exit_1(tmp_path, capsys, command, t
     spec = _write_spec(tmp_path)
     assert main([command, spec, "--h", "0.05", "--lmax", "2", "--tol", tol]) == 1
     assert "error: tol must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["nosuch"], "invalid choice: 'nosuch'"),
+        (["solve"], "the following arguments are required: spec"),
+        (["solve", "p.spec", "--h", "abc"], "argument --h: invalid float value: 'abc'"),
+        (["example", "nosuch"], "argument name: invalid choice: 'nosuch'"),
+    ],
+)
+def test_usage_errors_exit_4(capsys, args, message):
+    # A usage error has its own exit code: 2 means validation violations or
+    # an exceeded --bound.
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage: junction-hjb") and message in err
 
 
 @pytest.mark.parametrize(
@@ -379,7 +421,7 @@ def test_options_the_inputs_fix_are_refused_exit_2(tmp_path, capsys, command, fl
         args += ["--field", "field.csv", "--x0", "1,1.0"]
     with pytest.raises(SystemExit) as exc:
         main(args)
-    assert exc.value.code == 2
+    assert exc.value.code == 4
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import junction_hjb as jh
@@ -17,10 +17,12 @@ from junction_hjb.exprlang import BinOp, parse
 from junction_hjb.hamiltonian import vertex_data
 from junction_hjb.model import CostRegime, Problem, _sample_edges, parse_problem
 from junction_hjb.solver import (
+    DENSE_UNKNOWNS,
     GridParams,
+    Policy,
     ValueField,
-    _banded_solve,
     _candidates,
+    _cyclic_reduction,
     _evaluate,
     build_system,
     constant_field,
@@ -691,7 +693,7 @@ def test_solve_matches_value_iteration(seed, kind, zero_cost, odd):
 @given(
     p=st.integers(0, 3),
     q=st.integers(0, 3),
-    n=st.integers(1, 70),
+    n=st.integers(1, 400),
     batch=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -699,24 +701,40 @@ def test_solve_matches_value_iteration(seed, kind, zero_cost, odd):
 @example(p=2, q=2, n=7, batch=1, seed=2)  # n not a multiple of the block size
 @example(p=1, q=2, n=6, batch=3, seed=3)  # odd block count
 @example(p=0, q=0, n=1, batch=1, seed=4)
+@example(p=1, q=1, n=DENSE_UNKNOWNS, batch=2, seed=5)  # dense at once
+@example(p=1, q=1, n=DENSE_UNKNOWNS + 1, batch=2, seed=6)  # one level first
+@example(p=2, q=1, n=2 * DENSE_UNKNOWNS + 1, batch=1, seed=7)  # odd blocks, two levels
+@example(p=3, q=3, n=400, batch=3, seed=8)
 def test_banded_solve_matches_dense(p, q, n, batch, seed):
+    # A strictly row diagonally dominant banded matrix, cut into blocks of
+    # b = max(p, q, 1) rows in _cyclic_reduction's layout, identity rows
+    # padding the last block.
     rng = np.random.default_rng(seed)
-    band = rng.uniform(-1.0, 1.0, (batch, n, p + q + 1))
     cols = np.arange(n)[:, None] + np.arange(-p, q + 1)
-    band[:, (cols < 0) | (cols >= n)] = 0.0
-    off = np.abs(band).sum(axis=-1) - np.abs(band[..., p])
+    inside = (cols >= 0) & (cols < n)
+    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+    dense = np.zeros((batch, n, n))
+    dense[:, rows[inside], cols[inside]] = rng.uniform(-1.0, 1.0, (batch, int(inside.sum())))
+    diag = (slice(None), range(n), range(n))
+    off = np.abs(dense).sum(axis=-1) - np.abs(dense[diag])
     sign = np.where(rng.random((batch, n)) < 0.5, -1.0, 1.0)
-    band[..., p] = sign * (off + rng.uniform(0.01, 1.0, (batch, n)))
+    dense[diag] = sign * (off + rng.uniform(0.01, 1.0, (batch, n)))
     rhs = rng.normal(size=(batch, n, 2))
 
-    dense = np.zeros((batch, n, n))
-    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
-    inside = (cols >= 0) & (cols < n)
-    dense[:, rows[inside], cols[inside]] = band[:, inside]
+    b = max(p, q, 1)
+    m = -(-n // b)
+    padded = np.zeros((batch, m * b, (m + 2) * b))
+    padded[:, :n, b : n + b] = dense
+    padded[:, range(n, m * b), range(n + b, (m + 1) * b)] = 1.0
+    a = np.zeros((batch, m, b, 3 * b + 2))
+    for i in range(m):
+        a[:, i, :, : 3 * b] = padded[:, i * b : (i + 1) * b, i * b : (i + 3) * b]
+    a.reshape(batch, m * b, -1)[:, :n, 3 * b :] = rhs
+
     expected = np.linalg.solve(dense, rhs)
-    x = _banded_solve(band, rhs, p)
-    assert x.shape == rhs.shape
-    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+    x = _cyclic_reduction(a).reshape(batch, m * b, 2)
+    assert np.abs(x[:, :n] - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.abs(x[:, n:]).max(initial=0.0) == 0.0
 
 
 def _acceptance_problem(index):
@@ -742,8 +760,6 @@ def test_odd_grid_gets_a_ladder(index):
     [("entry-basic", 0.0025, 4.0), ("random-0", 0.0025, 4.0), ("random-1", 0.01, 3.99)],
 )
 def test_evaluate_is_exact(name, h, l_max):
-    # The evaluated field is the fixed point of its own policy's update
-    # T_pi: the candidates at the policy's actions, interior and vertex.
     if name == "entry-basic":
         problem = jh.builtin_problem(name)
     else:
@@ -753,14 +769,51 @@ def test_evaluate_is_exact(name, h, l_max):
     assert report.converged
     system = build_system(problem, grid)
     pol = policy(field, system)
-    evaluated = _evaluate(pol, system)
+    _assert_fixed_point_of_own_update(pol, system, _evaluate(pol, system))
+
+
+def _assert_fixed_point_of_own_update(pol, system, evaluated):
+    # The evaluated field is the fixed point of its own policy's update
+    # T_pi: the candidates at the policy's actions, interior and vertex.
     interiors, vertex = _candidates(evaluated, system)
+    k = np.arange(1, system.n_nodes)
     for e, u in enumerate(evaluated.values):
-        k = np.arange(1, system.n_nodes)
         image = np.concatenate(
             ([vertex[e][pol.vertex[e]]], interiors[e][k, pol.controls[e][1:]])
         )
         assert np.abs(u - image).max() <= 1e-12
+
+
+# 32 intervals take no reduction level for block sizes up to 17, and 200
+# take at least one for every block size.
+@pytest.mark.parametrize("n", [32, 200])
+@pytest.mark.parametrize("ratio", [1, 2, 4])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    source=st.one_of(st.just("random"), st.sampled_from(jh.builtin_names())),
+    exit_regime=st.booleans(),
+    kinds=st.lists(st.sampled_from(["switch", "park", "continue"]), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_is_exact_on_any_policy(n, ratio, source, exit_regime, kinds, seed):
+    # Any policy, not only a greedy one: random controls at every node, and
+    # at the vertex a switch, park or continue branch of each edge.
+    rng = np.random.default_rng(seed)
+    problem = make_random_problem(rng) if source == "random" else jh.builtin_problem(source)
+    if exit_regime:
+        problem = replace(problem, regime=CostRegime.exit(problem.regime.costs))
+    grid = GridParams(h=4.0 / n, l_max=4.0, dt=ratio * 4.0 / n)
+    try:
+        system = build_system(problem, grid)
+    except ValueError:  # dt too large for this problem's sup
+        assume(False)
+    n_controls = system.samples.real.sum(axis=1)
+    controls = rng.integers(0, n_controls[:, None], (problem.n_edges, system.n_nodes))
+    vertex = []
+    for row, kind in zip(system.vertex.limit_branches, kinds):
+        vertex.append(rng.choice([i for i, b in enumerate(row) if b.kind == kind]))
+    pol = Policy(controls, np.array(vertex))
+    _assert_fixed_point_of_own_update(pol, system, _evaluate(pol, system))
 
 
 def test_solve_does_not_import_scipy():

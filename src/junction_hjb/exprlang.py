@@ -7,17 +7,19 @@ renders them back to a canonical fully parenthesized form.
 
 Grammar (EBNF)::
 
-    expr  := term (('+'|'-') term)*
-    term  := unary (('*'|'/') unary)*
-    unary := '-' unary | power
-    power := atom ('^' unary)?
-    atom  := number | 'x' | 'a' | 'pi' | func '(' expr (',' expr)? ')'
-             | '(' expr ')'
+    expr   := term (('+'|'-') term)*
+    term   := unary (('*'|'/') unary)*
+    unary  := '-' unary | power
+    power  := atom ('^' unary)?
+    atom   := number | 'x' | 'a' | 'pi' | func '(' expr (',' expr)? ')'
+              | '(' expr ')'
+    number := (digit+ ('.' digit*)? | '.' digit+) (('e'|'E') ('+'|'-')? digit+)?
 
-``^`` binds tightest and is right-associative, unary minus binds tighter
-than ``*`` and ``/``, which bind tighter than ``+`` and ``-``.  Numbers are
-decimal with an optional exponent.  The known functions are ``sin``,
-``cos``, ``exp``, ``abs`` (unary) and ``min``, ``max`` (binary).
+This is Python's expression grammar with ``^`` for ``**``, and ``parse``
+reads it with Python's parser (``ast``).  Python's other forms, such as
+``1_0``, ``0x10``, ``1j``, ``x**2``, ``x//2``, ``sin(x,)`` or keywords, are
+syntax errors.  The functions are ``sin``, ``cos``, ``exp``, ``abs`` (unary)
+and ``min``, ``max`` (binary).
 
 A tree is compiled to a Python ``lambda x, a: ...`` on its first evaluation
 (not by ``parse``) and cached on the node.  Only numbers, ``x``, ``a``, ``pi``
@@ -29,9 +31,13 @@ raises: invalid entries come out non-finite.
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import functools
 import math
 import operator
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,160 +112,60 @@ class Call(Expression):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parsing: Python's parser reads the grammar, with '**' standing for '^'
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "ident", "op", "end"
-    text: str
-    offset: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ExprSyntaxError(f"malformed number {text!r}", i) from None
-            tokens.append(_Token("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^(),":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser (recursive descent, one token of lookahead)
-# ---------------------------------------------------------------------------
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> _Token:
-        tok = self.current
-        if tok.kind != "op" or tok.text != text:
-            raise ExprSyntaxError(f"expected {text!r}", tok.offset)
-        return self.advance()
-
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Expression:
-        node = self.parse_unary()
-        while self.current.kind == "op" and self.current.text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Expression:
-        if self.current.kind == "op" and self.current.text == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expression:
-        base = self.parse_atom()
-        if self.current.kind == "op" and self.current.text == "^":
-            self.advance()
-            return BinOp("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> Expression:
-        tok = self.current
-        if tok.kind == "num":
-            self.advance()
-            return Lit(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text in VARIABLES:
-                return Var(tok.text)
-            if tok.text == "pi":
-                return Lit(math.pi)
-            if tok.text in FUNCTIONS:
-                self.expect_op("(")
-                args = [self.parse_expr()]
-                while self.current.kind == "op" and self.current.text == ",":
-                    self.advance()
-                    args.append(self.parse_expr())
-                self.expect_op(")")
-                arity = FUNCTIONS[tok.text]
-                if len(args) != arity:
-                    raise ExprSyntaxError(
-                        f"{tok.text} expects {arity} argument(s), got {len(args)}",
-                        tok.offset,
-                    )
-                return Call(tok.text, tuple(args))
-            raise ExprSyntaxError(f"unknown identifier {tok.text!r}", tok.offset)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(
-            "expected a number, variable, function call or '('", tok.offset
-        )
+_UNEXPECTED = re.compile(r"[^\sA-Za-z0-9_.+\-*/^(),]|(?<=[*^])[*^]")  # "**" is not "^"
+_BLANKS = re.compile(r"[^\S ]|(?<![\w.])(?<![eE][+-])0+(?=\d)")  # newlines, tabs, and the 00 of 007
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_ARGUMENTS = re.compile(r" *\(.*[^, ] *\)")  # sin(x), not (sin)(x) nor sin(x,)
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def parse(source: str) -> Expression:
     """Parse a formula in the variables x and a into an Expression tree."""
-    if not source or not source.strip():
+    if not source.strip():
         raise ExprSyntaxError("empty expression", 0)
-    parser = _Parser(_tokenize(source))
-    try:
-        node = parser.parse_expr()
-    except RecursionError:
-        raise ExprSyntaxError("formula nested too deeply", parser.current.offset) from None
-    tok = parser.current
-    if tok.kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.offset)
-    return node
+    if bad := _UNEXPECTED.search(source):
+        raise ExprSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    text = _BLANKS.sub(lambda blank: " " * len(blank.group()), source).lstrip()
+    lead, text = len(source) - len(text), text.replace("^", "**")  # one ASCII line: columns are offsets
+
+    def at(column: int) -> int:  # the offset in source of a column of text
+        return lead + len(text[:column].replace("**", "^"))
+
+    def tree(node: ast.AST) -> Expression:
+        kind, start, end = type(node), node.col_offset, node.end_col_offset
+        if kind is ast.Constant and _NUMBER.fullmatch(text, start, end):
+            return Lit(float(text[start:end]))
+        if kind is ast.Name and node.id in (*VARIABLES, "pi"):
+            return Lit(math.pi) if node.id == "pi" else Var(node.id)
+        if kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return Neg(tree(node.operand))
+        if kind is ast.BinOp and type(node.op) in _OPERATORS:
+            return BinOp(_OPERATORS[type(node.op)], tree(node.left), tree(node.right))
+        if (kind is ast.Call and getattr(node.func, "id", None) in FUNCTIONS and not node.keywords
+                and _ARGUMENTS.fullmatch(text, node.func.end_col_offset, end)):
+            name, args = node.func.id, tuple(tree(arg) for arg in node.args)
+            if len(args) != (arity := FUNCTIONS[name]):
+                raise ExprSyntaxError(f"{name} expects {arity} argument(s), got {len(args)}", at(start))
+            return Call(name, args)
+        what = "unknown identifier" if kind is ast.Name else "unsupported syntax"
+        raise ExprSyntaxError(f"{what} {source[at(start):at(end)]!r}", at(start))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # as on 1and x: the tree or the error is the answer
+        try:
+            return tree(ast.parse(text, mode="eval").body)
+        except SyntaxError as exc:  # Python's columns are 1-based; 0 means the end
+            column = exc.offset - 1 if exc.offset else len(text)
+            message = "formula nested too deeply" if "nested" in exc.msg else re.split("[.;] ", exc.msg)[0]
+            with contextlib.suppress(SyntaxError, RecursionError, MemoryError):
+                ast.parse(text[:column], mode="eval")  # a formula ends where the error starts
+                message = f"unexpected trailing input {source[at(column):].strip()!r}"
+            raise ExprSyntaxError(message, at(column)) from None
+        except (RecursionError, MemoryError):
+            raise ExprSyntaxError("formula nested too deeply", 0) from None
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,23 @@ def test_formula_nested_too_deeply_exit_1(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("formula", ["1and a", "0x1for a"])
+def test_python_syntax_warnings_never_reach_stderr(tmp_path, formula):
+    # Python's parser warns "invalid decimal literal" on these before it
+    # reads them as `1 and a` and `0x1f or a`; the CLI prints only its error.
+    path = tmp_path / "warn.spec"
+    path.write_text(builtin_spec("entry-basic").replace("f = a", f"f = {formula}", 1), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "junction_hjb.cli", "validate", str(path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
 def test_validate_ok(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     assert main(["validate", spec]) == 0

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,92 @@ def test_syntax_error_offset():
         parse("")
     with pytest.raises(ExprSyntaxError, match="trailing"):
         parse("1 2")
+
+
+def test_error_offsets_count_source_characters():
+    # Python's parser reads '^' as '**', one column wider; offsets are the source's.
+    with pytest.raises(ExprSyntaxError, match="unknown identifier 'b'") as err:
+        parse("x^2 + b")
+    assert err.value.offset == 6
+    with pytest.raises(ExprSyntaxError, match="sin expects 1") as err:
+        parse("x ^ 2 ^ sin(a, x)")
+    assert err.value.offset == 8
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("x^2 + * 2")
+    assert err.value.offset == 6
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["1_0", "0x10", "0o7", "1j", "sin(x,)", "min(x, a,)", "x**2", "x//2", "x % 2", "1and x",
+     "0x1for a", "x if a else 1", "(sin)(x)", "min(^x)", "min(x, a, ^x)", "+x", "True"],
+)
+def test_python_only_forms_are_refused(source):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExprSyntaxError):
+            parse(source)
+
+
+@pytest.mark.parametrize(
+    "source, tree",
+    [
+        ("1\n+ x", BinOp("+", Lit(1.0), Var("x"))),  # an embedded newline
+        (" \tx ^ 2\n", BinOp("^", Var("x"), Lit(2.0))),  # leading and trailing whitespace
+        ("\u3000a", Var("a")),  # any whitespace str.isspace knows
+        ("007 - 1e+007", BinOp("-", Lit(7.0), Lit(1e7))),  # leading zeros, which Python refuses
+        ("1" * 400, Lit(math.inf)),  # integers too large for a float overflow, as floats do
+        ("1" * 5000 + ".0", Lit(math.inf)),
+    ],
+)
+def test_whitespace_zeros_and_overflowing_literals_are_accepted(source, tree):
+    assert parse(source) == tree
+
+
+def test_non_ascii_digits_are_refused():
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+        parse("2 * \uff11")
+    assert err.value.offset == 4
+
+
+def test_integer_literal_beyond_pythons_digit_limit_is_refused():
+    # Python refuses integer literals of more than 4300 digits; floats have no limit.
+    with pytest.raises(ExprSyntaxError, match="4300"):
+        parse("1" * 5000)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(" * 300 + "a" + ")" * 300,
+        "-" * 3000 + "x",
+        "^".join(["x"] * 3000),
+        "sin(" * 300 + "x" + ")" * 300,
+    ],
+    ids=["parentheses", "unary", "power", "calls"],
+)
+def test_deep_nesting_is_a_syntax_error(source):
+    # Python's parser reports "too many nested parentheses", RecursionError or
+    # MemoryError, depending on the form and the version; each is this error.
+    with pytest.raises(ExprSyntaxError, match="formula nested too deeply"):
+        parse(source)
+
+
+_PIECES = ["0", "1", "2.5", ".5", "1e3", "e", "x", "a", "pi", "b", "sin", "min", "+", "-", "*", "/", "^",
+           "(", ")", ",", " ", "**", "//", "_", "0x", "j", "if", "and", ",)", "\n", "\uff11"]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_PIECES), max_size=14).map("".join))
+def test_parse_returns_a_tree_or_raises_a_syntax_error(source):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            tree = parse(source)
+        except ExprSyntaxError as err:
+            assert 0 <= err.offset <= len(source)
+        else:
+            assert parse(format_expr(tree)) == tree
 
 
 def test_evaluate_substitution():
@@ -272,7 +359,7 @@ def test_evaluate_keeps_the_tree_grouping():
 @pytest.mark.parametrize(
     "source",
     [
-        "^".join(["x"] * 300),  # nested calls beyond the Python parser's limit
+        "^".join(["x"] * 300),  # compiled to 300 nested calls, beyond Python's 200
         "min(" * 150 + "x" + ", a)" * 150,
         "x - (" * 150 + "x" + ")" * 150,
         " + ".join(["x * a"] * 600),

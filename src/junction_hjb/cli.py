@@ -3,9 +3,10 @@
 Commands: validate, solve, oracle, simulate, residual, compare, example.
 solve and oracle write field files in one format, as JSON when the --out
 name ends in .json and as CSV otherwise (solver.field_to_json and
-solver.field_to_csv); simulate, residual and compare read them back by the
-same rule with the solver's readers, with the dt the file states; validate
-samples 101 points on [0, 4].
+solver.field_to_csv); either states the grid, dt included, and the problem
+digest, the CSV on its first line.  simulate, residual and compare read
+them back by the same rule with the solver's readers, on the stated grid;
+validate samples 101 points on [0, 4].
 Exit codes: 0 success, 1 I/O or parse errors (and fields that do not fit
 the problem or share no node with each other, or that were solved for
 another problem, and a compare --bound that is NaN or negative), 2
@@ -103,12 +104,12 @@ def _validate_on(problem, grid: solver.GridParams):
         raise _Violations(report.violations)
 
 
-def _write_field(args, field, report, grid_line=True):
+def _write_field(args, field, report):
     if args.out:
         if args.out.endswith(".json"):
             text = solver.field_to_json(field, report)
         else:
-            text = solver.field_to_csv(field, grid_line=grid_line)
+            text = solver.field_to_csv(field)
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
 
@@ -147,10 +148,7 @@ def cmd_oracle(args) -> int:
         solution.converged,
         level_iterations=(solution.iterations,),
     )
-    # perfbench/run.py reads every line after the CSV header as a row of
-    # three fields, so the oracle CSV has no grid line until the benchmark
-    # is revised (ROADMAP item 6).
-    _write_field(args, field, report, grid_line=False)
+    _write_field(args, field, report)
     return 0 if solution.converged else 3
 
 

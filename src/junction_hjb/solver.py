@@ -573,6 +573,9 @@ def problem_digest(problem: Problem) -> str:
 # node values of each edge.  A NaN node has no row, and every float is
 # written by repr, so CSV and JSON carry the same exact numbers.
 
+_CSV_HEADER = "# edge,s,value"
+
+
 def _edge_rows(field: ValueField):
     """(edge label, s, values) per edge as lists, NaN nodes left out."""
     s = field.grid.nodes
@@ -581,21 +584,20 @@ def _edge_rows(field: ValueField):
         yield e, s[keep].tolist(), u[keep].tolist()
 
 
-def field_to_csv(field: ValueField, *, grid_line: bool = True) -> str:
-    """Rows edge,s,value (edge then s ascending), a row with edge 0
-    carrying v(O) when there is one, then a comment line with the grid and
-    the problem digest (left out with grid_line=False)."""
-    lines = ["edge,s,value"]
+def field_to_csv(field: ValueField) -> str:
+    """A first line '# edge,s,value h=... l_max=... dt=... [problem=...]'
+    naming the columns, the grid and the problem digest, then rows
+    edge,s,value (edge then s ascending) and, when there is v(O), one row
+    0,0,v(O)."""
+    g = field.grid
+    words = [f"h={float(g.h)!r}", f"l_max={float(g.l_max)!r}", f"dt={float(g.dt)!r}"]
+    if field.digest is not None:
+        words.append(f"problem={field.digest}")
+    lines = [" ".join([_CSV_HEADER, *words])]
     for e, s, u in _edge_rows(field):
         lines += [f"{e},{x!r},{y!r}" for x, y in zip(s, u)]
     if field.vertex_reconstruction is not None:
         lines.append(f"0,0,{float(field.vertex_reconstruction)!r}")
-    if grid_line:
-        g = field.grid
-        words = [f"h={float(g.h)!r}", f"l_max={float(g.l_max)!r}", f"dt={float(g.dt)!r}"]
-        if field.digest is not None:
-            words.append(f"problem={field.digest}")
-        lines.append("# grid " + " ".join(words))
     return "\n".join(lines) + "\n"
 
 
@@ -623,20 +625,13 @@ def field_to_json(field: ValueField, report: SolveReport | None = None) -> str:
 
 
 def _field_from_table(edges, grid, recon, digest) -> ValueField:
-    """The field of a parsed table.  edges maps each label to its (s,
-    values) arrays; grid is the file's stated grid, or None for a CSV file
-    without the grid line, whose grid is then read off edge 1's rows with
-    dt = h.  Every edge must hold its rows in ascending s at every node of
-    the grid, or at every node but s = 0, which then reads as NaN."""
+    """The field of a parsed table on the file's stated grid.  edges maps
+    each label to its (s, values) arrays.  Every edge must hold its rows in
+    ascending s at every node of the grid, or at every node but s = 0,
+    which then reads as NaN."""
     labels = sorted(edges)
     if not labels or labels != list(range(1, len(labels) + 1)):
         raise ValueError(f"edge labels must be 1..N, got {labels}")
-    if grid is None:
-        s = edges[1][0]
-        if s.size < 2:
-            raise ValueError("edge 1: need at least 2 nodes")
-        h = round(float(s[1] - s[0]), 12)
-        grid = GridParams(h=h, l_max=round(float(s[-1]), 12), dt=h)
     nodes = grid.nodes
     values = []
     for label in labels:
@@ -652,39 +647,30 @@ def _field_from_table(edges, grid, recon, digest) -> ValueField:
     return ValueField(values, grid, recon, digest)
 
 
-def _parse_grid_line(line: str) -> tuple[GridParams, str | None]:
-    """Read the '# grid h=... l_max=... dt=... [problem=...]' line."""
-    words = line[1:].split()
-    if not words or words[0] != "grid":
-        raise ValueError(f"bad comment line {line!r}")
-    try:
-        values = dict(w.split("=", 1) for w in words[1:])
-        grid = GridParams(
-            h=float(values["h"]), l_max=float(values["l_max"]), dt=float(values["dt"])
-        )
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad grid line {line!r}: {exc}") from None
-    return grid, values.get("problem")
-
-
 def field_from_csv(text: str) -> ValueField:
-    """Inverse of field_to_csv."""
+    """Inverse of field_to_csv.  Raises ValueError for a file whose first
+    line does not state the grid, a row that is not three numbers, and
+    edge-0 rows other than a single 0,0,v(O)."""
     lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != "edge,s,value":
-        raise ValueError("expected header 'edge,s,value'")
-    grid = digest = None
-    for line in lines[1:]:
-        if line.startswith("#"):
-            grid, digest = _parse_grid_line(line)
-    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    words = lines[0].split() if lines else []
+    if " ".join(words[:2]) != _CSV_HEADER:
+        raise ValueError(f"expected a first line '{_CSV_HEADER} h=... l_max=... dt=...'")
+    try:
+        stated = dict(w.split("=", 1) for w in words[2:])
+        grid = GridParams(**{key: float(stated[key]) for key in ("h", "l_max", "dt")})
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"bad first line {lines[0]!r}: {exc}") from None
+    rows = [line.split(",") for line in lines[1:]]
     try:
         edge, s, u = np.array(rows, dtype=float).reshape(len(rows), 3).T
     except ValueError:
         raise ValueError("field rows must be three numbers edge,s,value") from None
     recon = u[edge == 0]
-    recon = float(recon[-1]) if recon.size and not np.isnan(recon[-1]) else None
+    if recon.size > 1 or s[edge == 0].any():
+        raise ValueError("v(O) takes at most one row, 0,0,value")
+    recon = float(recon[0]) if recon.size and not np.isnan(recon[0]) else None
     edges = {e: (s[edge == e], u[edge == e]) for e in set(edge.tolist()) - {0.0}}
-    return _field_from_table(edges, grid, recon, digest)
+    return _field_from_table(edges, grid, recon, stated.get("problem"))
 
 
 def field_from_json(text: str) -> ValueField:

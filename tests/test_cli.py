@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import junction_hjb as jh
@@ -206,11 +207,38 @@ def test_compare_bound_that_is_nan_or_negative_exit_1(tmp_path, capsys, bound):
 
 
 def test_compare_shape_mismatch_exit_1(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    a.write_text("edge,s,value\n1,0,0\n1,0.5,1\n", encoding="utf-8")
-    b.write_text("edge,s,value\n1,0.3,0\n1,0.7,1\n", encoding="utf-8")
-    assert main(["compare", str(a), str(b)]) == 1
+    # Two valid files whose nodes never coincide: NaN vertex limits and no
+    # v(O) row leave s = 0 out, and 0.11 k = 0.1 j has no solution with
+    # 0 < j, k <= 10.
+    paths = []
+    for h, l_max in ((0.1, 1.0), (0.11, 1.1)):
+        grid = jh.GridParams(h=h, l_max=l_max, dt=h)
+        values = np.ones((2, grid.n_intervals + 1))
+        values[:, 0] = np.nan
+        path = tmp_path / f"h{h}.csv"
+        path.write_text(jh.field_to_csv(jh.ValueField(values, grid)), encoding="utf-8")
+        paths.append(str(path))
+    capsys.readouterr()
+    assert main(["compare", *paths]) == 1
+    assert "error: the fields share no nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "residual", "compare"])
+def test_csv_without_its_first_line_exit_1(tmp_path, capsys, command):
+    spec = _write_spec(tmp_path)
+    field = tmp_path / "field.csv"
+    assert main(["solve", spec, "--h", "0.05", "--lmax", "2", "--out", str(field)]) == 0
+    bare = tmp_path / "bare.csv"
+    rows = field.read_text(encoding="utf-8").split("\n", 1)[1]
+    bare.write_text("edge,s,value\n" + rows, encoding="utf-8")
+    args = {
+        "simulate": ["simulate", spec, "--field", str(bare), "--x0", "1,1.0"],
+        "residual": ["residual", spec, "--field", str(bare)],
+        "compare": ["compare", str(field), str(bare)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert "error: expected a first line '# edge,s,value" in capsys.readouterr().err
 
 
 def test_simulate_command(tmp_path, capsys):
@@ -428,7 +456,7 @@ def test_usage_errors_exit_4(capsys, args, message):
         ("oracle", ["--format", "json"]),
     ],
 )
-def test_options_the_inputs_fix_are_refused_exit_2(tmp_path, capsys, command, flag):
+def test_options_the_inputs_fix_are_refused_exit_4(tmp_path, capsys, command, flag):
     # The iteration caps are fixed safety bounds, a rollout steps with its
     # field's dt, validate samples 101 points, and the --out name picks the
     # field syntax: none is an option.
@@ -479,7 +507,7 @@ def test_out_name_picks_the_field_syntax(tmp_path, capsys):
     assert main(["residual", spec, "--field", str(f_json)]) == 0
     assert main(["compare", str(f_json), str(f_csv), "--bound", "0"]) == 0
     assert f_json.read_text(encoding="utf-8").startswith("{")
-    assert f_csv.read_text(encoding="utf-8").startswith("edge,s,value")
+    assert f_csv.read_text(encoding="utf-8").startswith("# edge,s,value h=")
 
 
 def test_solver_outputs_are_deterministic(tmp_path):
@@ -561,8 +589,6 @@ def test_compare_csv_and_json_of_one_field(tmp_path, capsys):
 
 
 def test_oracle_csv_reads_back_on_its_grid(tmp_path):
-    import numpy as np
-
     spec = _write_spec(tmp_path)
     out = tmp_path / "oracle.csv"
     assert main(["oracle", spec, "--out", str(out)]) == 0

@@ -170,7 +170,8 @@ def _cli_oracle_file(problem, tmp_path, fmt):
 
 def test_oracle_csv_omits_per_edge_vertex_rows(benchmark_problem, tmp_path):
     lines = _cli_oracle_file(benchmark_problem, tmp_path, "csv").strip().splitlines()
-    assert lines[0] == "edge,s,value"
+    digest = jh.problem_digest(benchmark_problem)
+    assert lines[0] == f"# edge,s,value h=0.1 l_max=1.0 dt=0.1 problem={digest}"
     body = [line.split(",") for line in lines[1:]]
     assert all(float(row[1]) != 0.0 for row in body if row[0] != "0")
     assert body[-1][0] == "0"

@@ -418,7 +418,10 @@ def test_value_bound_enforced(benchmark_problem, fine_grid, benchmark_solution):
 def test_csv_round_trip(benchmark_problem, benchmark_solution, fine_grid):
     field, report = benchmark_solution
     text = field_to_csv(field)
-    assert text.splitlines()[0] == "edge,s,value"
+    assert text.splitlines()[0] == (
+        "# edge,s,value h=0.01 l_max=4.0 dt=0.01 "
+        f"problem={problem_digest(benchmark_problem)}"
+    )
     assert text == field_to_csv(field)  # deterministic
     back = field_from_csv(text)
     assert back.grid == fine_grid
@@ -438,15 +441,35 @@ def test_csv_keeps_dt(benchmark_problem, dt):
     assert residual(back, system)[1] == residual(field, system)[1]
 
 
-def test_csv_without_grid_line_reads_dt_as_h(benchmark_solution, fine_grid):
+def test_csv_without_its_first_line_is_refused(benchmark_solution):
+    # The grid, dt included, is read from the first line only: no file gets
+    # a grid guessed from its rows.
     field, _ = benchmark_solution
-    text = field_to_csv(field)
-    assert text.splitlines()[-1].startswith("# grid ")
-    old_format = "".join(text.splitlines(keepends=True)[:-1])
-    back = field_from_csv(old_format)
-    assert back.grid.dt == back.grid.h == pytest.approx(fine_grid.h)
-    with pytest.raises(ValueError, match="grid"):
-        field_from_csv(old_format + "# grid h=0.02 l_max=4 dt=0.02\n")
+    header, *rows = field_to_csv(field).splitlines(keepends=True)
+    body = "".join(rows)
+    for text in (
+        body,
+        "edge,s,value\n" + body,
+        "edge,s,value\n" + body + header.replace("# edge,s,value", "# grid"),
+        body + header,
+        header.replace(" dt=0.01", "") + body,
+        "",
+    ):
+        with pytest.raises(ValueError, match="first line"):
+            field_from_csv(text)
+
+
+def test_csv_vertex_row_is_one_row_at_s_0(benchmark_solution):
+    field, _ = benchmark_solution
+    *rows, vertex = field_to_csv(field).splitlines(keepends=True)
+    assert vertex == "0,0,0.5\n"
+    body = "".join(rows)
+    assert field_from_csv(body).vertex_reconstruction is None
+    assert field_from_csv(body + vertex).vertex_reconstruction == 0.5
+    for text in (body + vertex + "0,0,123.0\n", body + "0,2.5,7.0\n",
+                 body + vertex + "0,2.5,7.0\n"):
+        with pytest.raises(ValueError, match=r"v\(O\) takes at most one row"):
+            field_from_csv(text)
 
 
 def test_json_round_trip_exact(benchmark_solution):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -262,7 +263,13 @@ def cmd_example(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 4, not argparse's 2; subcommand parsers share the class."""
+    """Usage errors exit 4, not argparse's 2; subcommand parsers share the
+    class.  A negative number in exponent form, such as -1e-9, is a value,
+    not a flag, as -0.5 is."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -27,6 +27,11 @@ and the six functions reach the generated code, so no text of a formula is
 ever executed.  ``evaluate`` raises EvalError wherever a tree walker that
 checks every operation would (see its docstring); ``evaluate_array`` never
 raises: invalid entries come out non-finite.
+
+``kernel`` compiles an edge's f and ell at all of its controls into one
+call from the same source text, so its floats are evaluate's bit for bit;
+``EdgeSpec.kernel`` keeps one per edge, and a rollout step
+(``oracle.simulate``) calls it once instead of evaluate twice per control.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import numpy as np
 
 __all__ = [
     "Expression", "Lit", "Var", "Neg", "BinOp", "Call", "ExprError", "ExprSyntaxError",
-    "EvalError", "parse", "evaluate", "evaluate_array", "format_expr", "format_number",
+    "EvalError", "parse", "evaluate", "evaluate_array", "kernel", "format_expr", "format_number",
 ]
 
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "min": 2, "max": 2}
@@ -218,9 +223,24 @@ _SPLIT_DEPTH = 32  # deeper subtrees are compiled apart: Python limits nesting
 def _compile(expr: Expression, checked: bool):
     """expr as ``lambda x, a: ...``; literals and split subtrees are closure constants."""
     consts: list = []
-    body = _source(expr, consts, checked, True, 0)[0]
+    body = _source(expr, consts, checked, True, 0, "a")[0]
     params = ", ".join(f"_k{i}" for i in range(len(consts)))
     return _factory(f"lambda {params}: lambda x, a: {body}", checked)(*consts)
+
+
+def kernel(f: Expression, ell: Expression, controls: tuple[float, ...]):
+    """``x -> (f(x, a_0), ell(x, a_0), f(x, a_1), ...)``: evaluate's lambdas
+    of f and ell, each control a closure constant where ``a`` stands, in one
+    call, so every float is evaluate's bit for bit.  It raises where evaluate
+    would, but not on a non-finite root and not with evaluate's message."""
+    consts: list = []
+    parts = []
+    for a in controls:
+        consts.append(a)
+        name = f"_k{len(consts) - 1}"
+        parts += [_source(tree, consts, True, True, 0, name)[0] for tree in (f, ell)]
+    params = ", ".join(f"_k{i}" for i in range(len(consts)))
+    return _factory(f"lambda {params}: lambda x: ({', '.join(parts)},)", True)(*consts)
 
 
 @functools.lru_cache(maxsize=1024)  # trees of one shape differ only in constants
@@ -228,37 +248,38 @@ def _factory(source: str, checked: bool):
     return eval(source, _SCALAR_NAMESPACE if checked else _ARRAY_NAMESPACE)
 
 
-def _source(node, consts: list, checked: bool, chained: bool, depth: int) -> tuple[str, int]:
-    """Source of node and its precedence (1 sum, 2 product, 3 negation, 4
-    atom), parenthesized only where Python would group otherwise.  With
-    checked, a BinOp result is tested for finiteness unless chained: its
-    nearest ancestor other than Neg is +, - or *, which carry inf and nan to
-    the top of the chain, or it has none, and evaluate tests the root."""
+def _source(node, consts: list, checked: bool, chained: bool, depth: int, a: str) -> tuple[str, int]:
+    """Source of node, with the text a standing for Var("a"), and its
+    precedence (1 sum, 2 product, 3 negation, 4 atom), parenthesized only
+    where Python would group otherwise.  With checked, a BinOp result is
+    tested for finiteness unless chained: its nearest ancestor other than
+    Neg is +, - or *, which carry inf and nan to the top of the chain, or it
+    has none, and evaluate tests the root."""
     if isinstance(node, Lit):
         consts.append(node.value)
         return f"_k{len(consts) - 1}", 4
     if isinstance(node, Var):
-        return ("x" if node.name == "x" else "a"), 4
+        return ("x" if node.name == "x" else a), 4
     if depth >= _SPLIT_DEPTH and not isinstance(node, Neg):
         consts.append(node._scalar if checked else node._array)
-        text, prec = f"_k{len(consts) - 1}(x, a)", 4
+        text, prec = f"_k{len(consts) - 1}(x, {a})", 4
     elif isinstance(node, Neg):
-        text, prec = _source(node.operand, consts, checked, chained, depth + 1)
+        text, prec = _source(node.operand, consts, checked, chained, depth + 1, a)
         return (f"-{text}" if prec >= 3 else f"-({text})"), 3
     elif isinstance(node, BinOp) and node.op in _INFIX:
         prec = _INFIX[node.op]
-        left, lp = _source(node.left, consts, checked, True, depth + 1)
-        right, rp = _source(node.right, consts, checked, True, depth + 1)
+        left, lp = _source(node.left, consts, checked, True, depth + 1, a)
+        right, rp = _source(node.right, consts, checked, True, depth + 1, a)
         left = left if lp >= prec else f"({left})"
         text = f"{left} {node.op} {right if rp > prec else f'({right})'}"
     elif isinstance(node, BinOp):
         unsigned = isinstance(node.right, Lit) and node.right.value >= 0.0
         func = "_div" if node.op == "/" else "_pow" if unsigned else "_checked_pow"
-        left = _source(node.left, consts, checked, False, depth + 1)[0]
-        right = _source(node.right, consts, checked, False, depth + 1)[0]
+        left = _source(node.left, consts, checked, False, depth + 1, a)[0]
+        right = _source(node.right, consts, checked, False, depth + 1, a)[0]
         text, prec = f"{func}({left}, {right})", 4
     elif isinstance(node, Call) and node.func in FUNCTIONS:
-        args = ", ".join(_source(arg, consts, checked, False, depth + 1)[0] for arg in node.args)
+        args = ", ".join(_source(arg, consts, checked, False, depth + 1, a)[0] for arg in node.args)
         return f"{node.func}({args})", 4
     else:
         raise TypeError(f"not an expression node: {node!r}")

@@ -130,6 +130,14 @@ class EdgeSpec:
         if any(b <= a for a, b in zip(self.controls, self.controls[1:])):
             raise ValueError("controls must be strictly increasing with no duplicates")
 
+    @functools.cached_property
+    def kernel(self):
+        """exprlang.kernel of this edge, compiled on first use."""
+        return exprlang.kernel(self.velocity, self.running_cost, self.controls)
+
+    def __getstate__(self):  # the kernel does not pickle; it is rebuilt on use
+        return {k: v for k, v in vars(self).items() if k != "kernel"}
+
 
 @dataclass(frozen=True)
 class CostRegime:

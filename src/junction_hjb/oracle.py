@@ -473,13 +473,13 @@ def connect(
 # Greedy feedback simulation
 # ---------------------------------------------------------------------------
 
-def _interp(u: list[float], grid: GridParams, s: float) -> float:
-    """Linear interpolation of one field row u, read as Python floats, at s
-    clipped into [0, l_max] as the scheme clips its feet.  At or beyond the
-    last node it takes the last node's value: l_max / h may round just above
-    the interval count."""
-    s = 0.0 if s < 0.0 else grid.l_max if s > grid.l_max else s
-    pos = s / grid.h
+def _interp(u: list[float], h: float, l_max: float, s: float) -> float:
+    """Linear interpolation of one field row u, read as Python floats, on the
+    grid of step h, at s clipped into [0, l_max] as the scheme clips its
+    feet.  At or beyond the last node it takes the last node's value: l_max
+    / h may round just above the interval count."""
+    s = 0.0 if s < 0.0 else l_max if s > l_max else s
+    pos = s / h
     lo = int(pos)
     if lo < len(u) - 1:
         w = pos - lo
@@ -501,7 +501,11 @@ def simulate(
     At interior points the control is the first that minimizes the one-step
     Bellman right-hand side dt*ell + beta*u(s + dt*f): the field is read
     once per rollout as Python floats and interpolated linearly at the foot
-    clipped into [0, l_max], as the scheme's feet are.  Within h/2 of the
+    clipped into [0, l_max], as the scheme's feet are.  f and ell of every
+    control come from one call of the edge's compiled kernel
+    (EdgeSpec.kernel, built once per edge); where that call raises or gives
+    a value that is not finite, the step evaluates control by control, f
+    before ell, and raises evaluate's EvalError.  Within h/2 of the
     vertex (h the field's grid step) the state snaps onto O and takes the
     first cheapest branch of vertex_data's v(O) list, chosen once: a move
     into an edge, the current one included, priced at its charge plus the
@@ -554,6 +558,7 @@ def simulate(
             runs.append([key, duration])
 
     values = field.values.tolist()
+    h, l_max = grid.h, grid.l_max
 
     def vertex_value(branch):
         """The value of a branch of v(O) on the field."""
@@ -561,7 +566,7 @@ def simulate(
             return branch.charge
         act = vdata.edge(branch.edge)[branch.action]
         return (branch.charge + dt * act.cost
-                + beta * _interp(values[branch.edge - 1], grid, dt * act.velocity))
+                + beta * _interp(values[branch.edge - 1], h, l_max, dt * act.velocity))
 
     # The branches do not depend on the state, so the first cheapest is the
     # vertex choice of every step: a move's control, or a park's pair.
@@ -570,7 +575,8 @@ def simulate(
     a_vertex, *partner = (problem.edge(choice.edge).controls[k] for k in act.controls)
 
     evaluate = exprlang.evaluate
-    h_snap = grid.h / 2
+    rows = [(spec, spec.kernel, u) for spec, u in zip(problem.edges, values)]
+    h_snap = h / 2
     n_steps = int(round(horizon / dt))
     for _ in range(n_steps):
         edge, s = path.edge, path.s
@@ -591,14 +597,21 @@ def simulate(
                 break
             edge, a, first = choice.edge, a_vertex, (act.velocity, act.cost)
         else:
-            # The first control with the least one-step Bellman value.
-            spec = problem.edges[edge - 1]
-            u = values[edge - 1]
-            best = None
-            for b in spec.controls:
-                f = evaluate(spec.velocity, s, b)
-                ell = evaluate(spec.running_cost, s, b)
-                value = dt * ell + beta * _interp(u, grid, s + dt * f)
+            # The first control with the least one-step Bellman value, from
+            # f and ell of every control in one kernel call; where that
+            # raises or sums to a value that is not finite, the controls go
+            # through evaluate, which raises its EvalError where one fails.
+            spec, kernel, u = rows[edge - 1]
+            try:
+                pairs = kernel(s)
+            except (ArithmeticError, ValueError):
+                pairs = (math.nan,)
+            if not math.isfinite(sum(pairs)):
+                pairs = [evaluate(tree, s, b) for b in spec.controls
+                         for tree in (spec.velocity, spec.running_cost)]
+            best, pair = None, iter(pairs)
+            for b, f, ell in zip(spec.controls, pair, pair):
+                value = dt * ell + beta * _interp(u, h, l_max, s + dt * f)
                 if best is None or value < best:
                     best, a, first = value, b, (f, ell)
 

@@ -296,9 +296,9 @@ def _argmin(candidates: np.ndarray, current: np.ndarray | None) -> np.ndarray:
     best = candidates.argmin(axis=-1)
     if current is None:
         return best
-    rows = candidates.reshape(-1, candidates.shape[-1])
-    i, current, flat = np.arange(len(rows)), current.ravel(), best.ravel()
-    return np.where(rows[i, current] <= rows[i, flat], current, flat).reshape(best.shape)
+    flat = candidates.ravel()  # gathers from the flat array beat 2-d fancy indexing
+    row = np.arange(0, flat.size, candidates.shape[-1]).reshape(best.shape)
+    return np.where(flat[row + current] <= flat[row + best], current, best)
 
 
 def policy(
@@ -649,14 +649,20 @@ def _field_from_table(edges, grid, recon, digest) -> ValueField:
 
 def field_from_csv(text: str) -> ValueField:
     """Inverse of field_to_csv.  Raises ValueError for a file whose first
-    line does not state the grid, a row that is not three numbers, and
-    edge-0 rows other than a single 0,0,v(O)."""
+    line does not state the grid or names a key other than h, l_max, dt and
+    problem or one twice, a row that is not three numbers, and edge-0 rows
+    other than a single 0,0,v(O)."""
     lines = text.strip().splitlines()
     words = lines[0].split() if lines else []
     if " ".join(words[:2]) != _CSV_HEADER:
         raise ValueError(f"expected a first line '{_CSV_HEADER} h=... l_max=... dt=...'")
+    stated: dict[str, str] = {}
+    for key, _, value in (w.partition("=") for w in words[2:]):
+        if key not in ("h", "l_max", "dt", "problem") or key in stated:
+            what = "repeated" if key in stated else "unknown"
+            raise ValueError(f"bad first line {lines[0]!r}: {what} key {key!r}")
+        stated[key] = value
     try:
-        stated = dict(w.split("=", 1) for w in words[2:])
         grid = GridParams(**{key: float(stated[key]) for key in ("h", "l_max", "dt")})
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad first line {lines[0]!r}: {exc}") from None

@@ -192,7 +192,7 @@ def test_compare_exceeding_bound(tmp_path, capsys):
     assert main(["compare", str(a), str(b), "--bound", "1e-6"]) == 2
 
 
-@pytest.mark.parametrize("bound", ["nan", "-1", "-0.5"])
+@pytest.mark.parametrize("bound", ["nan", "-1", "-0.5", "-1e-9", "-1E-3", "-.5"])
 def test_compare_bound_that_is_nan_or_negative_exit_1(tmp_path, capsys, bound):
     # sup_diff > nan is never true, so a NaN bound would pass any pair.
     spec_a = _write_spec(tmp_path)
@@ -221,6 +221,27 @@ def test_compare_shape_mismatch_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", *paths]) == 1
     assert "error: the fields share no nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [("problem=", "problm=", "unknown key 'problm'"), (" dt=", " h=0.05 dt=", "repeated key 'h'")],
+    ids=["problm", "repeated-h"],
+)
+def test_csv_first_line_with_an_unknown_or_repeated_key_exit_1(tmp_path, capsys, old, new, message):
+    # A misspelt problem= would read as a file that names no problem, which
+    # every problem accepts: here the field of entry-basic for entry-expensive.
+    spec = _write_spec(tmp_path)
+    field = tmp_path / "field.csv"
+    assert main(["solve", spec, "--h", "0.05", "--lmax", "2", "--out", str(field)]) == 0
+    first, rows = field.read_text(encoding="utf-8").split("\n", 1)
+    assert old in first
+    field.write_text(first.replace(old, new) + "\n" + rows, encoding="utf-8")
+    other = tmp_path / "expensive.spec"
+    other.write_text(builtin_spec("entry-expensive"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["residual", str(other), "--field", str(field)]) == 1
+    assert f"error: bad first line '{first.replace(old, new)}': {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "residual", "compare"])

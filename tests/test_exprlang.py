@@ -373,6 +373,22 @@ def test_deep_trees_match_reference_walker(source):
     with np.errstate(all="ignore"):
         want = np.broadcast_to(_ref_eval_array(tree, xs, as_), xs.shape)
     assert exprlang.evaluate_array(tree, xs, as_).tobytes() == want.tobytes()
+    value = evaluate(tree, 0.5, 0.25)
+    assert exprlang.kernel(tree, Var("a"), (0.25,))(0.5) == (value, 0.25)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_trees, _trees, st.lists(_inputs, min_size=1, max_size=4).map(tuple), _inputs)
+def test_kernel_matches_evaluate(f, ell, controls, x):
+    # f then ell at each control, as evaluate gives them bit for bit; where
+    # evaluate raises EvalError, the kernel raises or gives a non-finite value.
+    want = [_outcome(evaluate, tree, x, a) for a in controls for tree in (f, ell)]
+    try:
+        got = exprlang.kernel(f, ell, controls)(x)
+    except (ArithmeticError, ValueError):
+        assert "EvalError" in want
+    else:
+        assert [v.hex() if math.isfinite(v) else "EvalError" for v in got] == want
 
 
 def test_evaluate_compiles_once_on_first_use():

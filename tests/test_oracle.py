@@ -1,5 +1,6 @@
 import ast
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -430,38 +431,104 @@ def test_simulate_flags_leaving_the_domain(benchmark_problem, fine_grid, benchma
 def test_simulate_evaluates_each_control_once_per_step(
     monkeypatch, benchmark_problem, fine_grid, benchmark_solution
 ):
-    # The greedy choice evaluates f and ell once per control, and the Euler
-    # step reuses the chosen control's pair; at the vertex both come from
-    # vertex_data, which evaluates every control of every edge once.
+    # The greedy choice makes one kernel call per interior step, which
+    # evaluates f and ell once per control, and the Euler step reuses the
+    # chosen control's pair; at the vertex both come from vertex_data, which
+    # evaluates every control of every edge once.
     problem = make_random_problem(np.random.default_rng(20260810))
     field, _ = jh.solve(problem, fine_grid)
-    evaluate = oracle.exprlang.evaluate
-    calls = []
+    evaluate, kernel = oracle.exprlang.evaluate, oracle.exprlang.kernel
+    calls, kernel_calls = [], []
     monkeypatch.setattr(
         oracle.exprlang, "evaluate", lambda *args: calls.append(args) or evaluate(*args)
     )
 
+    def counted_kernel(*args):
+        compiled = kernel(*args)
+        return lambda x: kernel_calls.append(x) or compiled(x)
+
+    monkeypatch.setattr(oracle.exprlang, "kernel", counted_kernel)
+
     def count(problem, x0, field, steps, samples=None):
         calls.clear()
+        kernel_calls.clear()
         traj = simulate(problem, x0, field, horizon=steps * 0.01, dt=0.01)
         assert len(traj.times) == (steps + 1 if samples is None else samples)
-        return len(calls)
+        return len(calls), len(kernel_calls)
 
     setup = 2 * sum(len(spec.controls) for spec in problem.edges)
-    interior = 2 * len(problem.edge(2).controls)
     counts = [count(problem, NetworkPoint(2, 2.0), field, steps) for steps in (1, 2, 3)]
-    assert counts == [setup + interior, setup + 2 * interior, setup + 3 * interior]
+    assert counts == [(setup, 1), (setup, 2), (setup, 3)]
 
     # From the vertex on edge 1 it parks at once on edge 2's stationary
     # mix, recorded as one relaxed piece whose split comes from vertex_data
     # too: one sample at the start and one at the horizon.
-    assert count(problem, NetworkPoint(1, 0.0), field, 5, samples=2) == setup == 24
+    assert count(problem, NetworkPoint(1, 0.0), field, 5, samples=2) == (setup, 0)
+    assert setup == 24
 
     # entry-basic from the vertex on edge 1 switches into edge 2 at f = 1.
     field, _ = benchmark_solution
     traj = simulate(benchmark_problem, NetworkPoint(1, 0.0), field, horizon=0.01, dt=0.01)
     assert traj.edges[-1] == 2 and traj.positions[-1] > 0
-    assert count(benchmark_problem, NetworkPoint(1, 0.0), field, 1) == 2 * 3 * 2
+    assert count(benchmark_problem, NetworkPoint(1, 0.0), field, 1) == (2 * 3 * 2, 0)
+
+
+def test_simulate_compiles_each_edge_once(monkeypatch, fine_grid):
+    # The kernel is kept with its edge: later rollouts on the same problem,
+    # and on its exit mirror, which shares the edges, compile nothing.
+    problem = make_random_problem(np.random.default_rng(20260810))
+    mirror = _exit_mirror(problem)
+    kernel = oracle.exprlang.kernel
+    compiled = []
+    monkeypatch.setattr(
+        oracle.exprlang, "kernel", lambda *args: compiled.append(args) or kernel(*args)
+    )
+    for p in (problem, mirror):
+        field, _ = jh.solve(p, fine_grid)
+        for edge in (1, 2, 3, 1):
+            simulate(p, NetworkPoint(edge, 2.0), field, horizon=1.0)
+    assert [args[0] for args in compiled] == [spec.velocity for spec in problem.edges]
+    assert pickle.loads(pickle.dumps(problem)) == problem  # the kernels stay behind
+
+
+_FAILING_EDGES = {
+    # Each formula is finite at s = 0, where vertex_data evaluates it, and
+    # fails at s = 2 for one control: m = max(x - 1, 0) is 1 there.
+    "division by zero": ("a", "1 / (1 + a * max(x - 1, 0))"),
+    "division by zero in f": ("a / (1 + a * max(x - 1, 0))", "1"),
+    "overflow": ("a", "exp(1000 * max(x - 1, 0) * a)"),
+    "overflow to inf": ("a", "1e308 * (1 + a * max(x - 1, 0))"),
+    "domain error": ("a", "(1 + 2 * a * max(x - 1, 0)) ^ 0.5"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FAILING_EDGES))
+def test_simulate_raises_evaluates_error_where_the_kernel_fails(name, benchmark_solution):
+    # Where f or ell cannot be evaluated at a step, the rollout raises the
+    # EvalError that evaluate raises for the first failing control, f
+    # before ell, with its message.
+    f, ell = _FAILING_EDGES[name]
+    problem = parse_problem(
+        "lambda = 1\nregime = entry\ncosts = 1, 1\n"
+        f"[edge]\ncontrols = -1, 0, 1\nf = {f}\nell = {ell}\n"
+        "[edge]\ncontrols = -1, 0, 1\nf = a\nell = 1\n"
+    )
+    spec, s = problem.edge(1), 2.0
+    with pytest.raises(jh.exprlang.EvalError) as expected:
+        for b in spec.controls:
+            jh.exprlang.evaluate(spec.velocity, s, b)
+            jh.exprlang.evaluate(spec.running_cost, s, b)
+    try:
+        values = spec.kernel(s)
+    except (ArithmeticError, ValueError):
+        pass
+    else:
+        assert not all(map(math.isfinite, values))
+    field, _ = benchmark_solution
+    with pytest.raises(jh.exprlang.EvalError) as raised:
+        simulate(problem, NetworkPoint(1, s), field, horizon=1.0)
+    assert str(raised.value) == str(expected.value)
+    assert f"(at x={s!r}, a=" in str(raised.value) or "non-finite" in str(raised.value)
 
 
 def _exit_mirror(problem: Problem) -> Problem:
@@ -792,7 +859,7 @@ def test_interp_matches_the_numpy_formula_bitwise(name, h, l_max):
     for row, values in zip(field.values, field.values.tolist()):
         for s in points:
             expected = _numpy_interp(row, grid, s)
-            got = oracle._interp(values, grid, s)
+            got = oracle._interp(values, grid.h, grid.l_max, s)
             assert type(got) is float
             assert got == expected and math.copysign(1, got) == math.copysign(1, expected), s
 

@@ -21,6 +21,7 @@ from junction_hjb.solver import (
     GridParams,
     Policy,
     ValueField,
+    _argmin,
     _candidates,
     _cyclic_reduction,
     _evaluate,
@@ -596,6 +597,27 @@ def _reference_argmin(candidates, current):
     kept = np.take_along_axis(candidates, current[..., None], axis=-1)[..., 0]
     low = np.take_along_axis(candidates, best[..., None], axis=-1)[..., 0]
     return np.where(kept <= low, current, best)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape=st.lists(st.integers(1, 5), min_size=2, max_size=3).map(tuple),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.integers(1, 3),
+    with_current=st.booleans(),
+)
+def test_argmin_matches_numpy_argmin(shape, seed, levels, with_current):
+    # Candidates drawn from a few levels tie exactly and often, inf included:
+    # the lowest index wins, and a current action is kept unless another is
+    # strictly better.
+    rng = np.random.default_rng(seed)
+    candidates = np.array([-1.5, 0.0, np.inf])[rng.integers(0, levels, shape)]
+    if seed % 2:  # a layout other than C order
+        candidates = np.asfortranarray(candidates)
+    current = rng.integers(0, shape[-1], shape[:-1]) if with_current else None
+    got = _argmin(candidates, current)
+    assert got.dtype == candidates.argmin(axis=-1).dtype
+    assert np.array_equal(got, _reference_argmin(candidates, current))
 
 
 @st.composite

@@ -26,7 +26,6 @@ from .model import (
     validate,
 )
 from .oracle import (
-    ControlSchedule,
     OracleSolution,
     SchedulePiece,
     SwitchEvent,

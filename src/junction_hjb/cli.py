@@ -155,8 +155,8 @@ def cmd_oracle(args) -> int:
 
 def _load_field(path: str, problem=None) -> solver.ValueField:
     """Read a field file; with problem given, validate the problem over the
-    field's domain, then reject a field that states it was solved for
-    another problem."""
+    field's domain (simulate and residual then reject a field that states
+    it was solved for another problem)."""
     text = Path(path).read_text(encoding="utf-8")
     if path.endswith(".json"):
         field = solver.field_from_json(text)
@@ -164,12 +164,6 @@ def _load_field(path: str, problem=None) -> solver.ValueField:
         field = solver.field_from_csv(text)
     if problem is not None:
         _validate_on(problem, field.grid)
-        digest = solver.problem_digest(problem)
-        if field.digest not in (None, digest):
-            raise ValueError(
-                f"{path} was solved for another problem "
-                f"(digest {field.digest}, this problem's is {digest})"
-            )
     return field
 
 

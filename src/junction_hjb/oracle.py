@@ -7,11 +7,11 @@ interpolating and charges switching costs on the transitions that realize
 them.  It is solved by its own policy iteration, which evaluates a policy
 by summing discounted costs along its paths (pointer doubling) rather than
 by the solver's banded linear solves, so agreement between the two is
-evidence rather than tautology.  evaluate_cost integrates the discounted
-running cost of an explicit piecewise-constant control schedule and
-detects edge entries and exits; connect constructs a schedule between two
-points near the vertex and certifies its travel time; simulate rolls out
-the greedy feedback policy of a solved field.
+evidence rather than tautology.  evaluate_cost replays a schedule, a tuple
+of SchedulePieces, and integrates its discounted cost; connect constructs
+one between two points near the vertex and certifies its travel time;
+simulate rolls out the greedy feedback policy of a solved field.  Both
+step by _Path.step, which also charges the edge entries and exits.
 
 Switch accounting follows the cost functionals: with entry costs, a charge
 falls due each time the state moves off the vertex into an edge
@@ -34,7 +34,6 @@ from .solver import GridParams, ValueField
 
 __all__ = [
     "SchedulePiece",
-    "ControlSchedule",
     "SwitchEvent",
     "Trajectory",
     "OracleSolution",
@@ -70,13 +69,6 @@ class SchedulePiece:
 
 
 @dataclass(frozen=True)
-class ControlSchedule:
-    """Piecewise-constant open-loop control: a tuple of SchedulePieces."""
-
-    pieces: tuple[SchedulePiece, ...]
-
-
-@dataclass(frozen=True)
 class SwitchEvent:
     kind: str  # "entry" or "exit"
     edge: int
@@ -95,7 +87,7 @@ class Trajectory:
     switches: tuple[SwitchEvent, ...]
     cost: float
     tail_bound: float
-    schedule: ControlSchedule | None = None
+    schedule: tuple[SchedulePiece, ...] | None = None
     # A step of the rollout would have gone beyond the field's l_max and
     # was held there, as the scheme holds its feet.
     left_domain: bool = False
@@ -105,15 +97,11 @@ class Trajectory:
 _cached_validate = functools.lru_cache(maxsize=64)(validate)
 
 
-def _sup_bound(problem: Problem, s_max: float) -> float:
-    x_max = float(math.ceil(max(4.0, s_max)))
-    return _cached_validate(problem, 64, x_max).sup_bound
-
-
 class _Path:
     """A trajectory under integration: its state (edge, s, t), the
-    discounted cost so far with its switch charges, and its samples.  Euler
-    steps that would pass l_max end at l_max, and clamped records that."""
+    discounted cost so far with its switch charges, and its samples.  step
+    is the one Euler step of simulate and evaluate_cost; one that would
+    pass l_max ends at l_max, and clamped records that."""
 
     def __init__(self, problem: Problem, x0: NetworkPoint, l_max: float = math.inf):
         self.problem = problem
@@ -143,58 +131,39 @@ class _Path:
                 self.cost += self._charge("exit", self.t)
             self.s = 0.0
 
-    def advance(self, control: float, dt: float, steps: int = 1, first=None,
-                theta: float = 1.0, partner: float | None = None):
-        """steps explicit Euler steps of control, mixed with weight 1 - theta
-        on partner when one is given (a mixed |f| <= ZERO_VELOCITY_TOL is 0,
-        as in vertex_data), on the current edge, with the running cost by
-        the left-endpoint rule and the switch charges that fall due: entry
-        on leaving the vertex, exit on reaching it from inside.  first, when
-        given, is the pair (f, ell) at the current state, already evaluated."""
-        edge = self.edge
-        spec = self.problem.edges[edge - 1]
-        evaluate = exprlang.evaluate
-        lam, entry, l_max = self.problem.lam, self.entry, self.l_max
-        s, t, cost = self.s, self.t, self.cost
-        for _ in range(steps):
-            if first is None:
-                ell = evaluate(spec.running_cost, s, control)
-                f = evaluate(spec.velocity, s, control)
-                if partner is not None:
-                    ell = theta * ell + (1.0 - theta) * evaluate(spec.running_cost, s, partner)
-                    f = theta * f + (1.0 - theta) * evaluate(spec.velocity, s, partner)
-                    f = 0.0 if abs(f) <= ZERO_VELOCITY_TOL else f
-            else:
-                f, ell = first
-                first = None
-            cost += math.exp(-lam * t) * ell * dt
-            s_new = s + dt * f
-            t += dt
-            if s_new <= 0.0:
-                if s > 0.0 and not entry:
-                    cost += self._charge("exit", t)
-                s_new = 0.0
-            else:
-                if s == 0.0 and entry:  # left the vertex
-                    cost += self._charge("entry", t)
-                if s_new > l_max:
-                    s_new = l_max
-                    self.clamped = True
-            s = s_new
-            self.samples.append((t, edge, s, cost))
-        self.s, self.t, self.cost = s, t, cost
+    def step(self, f: float, ell: float, dt: float):
+        """One explicit Euler step of velocity f on the current edge, with
+        the running cost ell by the left-endpoint rule and the switch charges
+        that fall due: entry on leaving the vertex, exit on reaching it from
+        inside."""
+        s, t = self.s, self.t
+        self.cost += math.exp(-self.problem.lam * t) * ell * dt
+        s_new = s + dt * f
+        self.t = t = t + dt
+        if s_new <= 0.0:
+            if s > 0.0 and not self.entry:
+                self.cost += self._charge("exit", t)
+            s_new = 0.0
+        else:
+            if s == 0.0 and self.entry:  # left the vertex
+                self.cost += self._charge("entry", t)
+            if s_new > self.l_max:
+                s_new = self.l_max
+                self.clamped = True
+        self.s = s_new
+        self.samples.append((t, self.edge, s_new, self.cost))
 
     def sample(self):
         """Append the current state: after a move that is not an Euler step."""
         self.samples.append((self.t, self.edge, self.s, self.cost))
 
-    def trajectory(self, schedule: ControlSchedule) -> Trajectory:
-        """The samples so far, with the tail bound at the current time;
-        left_domain flags a clamp at l_max."""
+    def trajectory(self, schedule: tuple[SchedulePiece, ...]) -> Trajectory:
+        """The samples so far, with the tail bound at the current time (from
+        the sup on [0, ceil(max(4, s))]); left_domain flags a clamp at l_max."""
         problem = self.problem
         times, edges, positions, running = zip(*self.samples)
-        s_max = max(positions)
-        bound = _sup_bound(problem, s_max)
+        x_max = float(math.ceil(max(4.0, max(positions))))
+        bound = _cached_validate(problem, 64, x_max).sup_bound
         tail = math.exp(-problem.lam * self.t) * (
             bound / problem.lam + min(problem.regime.costs)
         )
@@ -214,20 +183,22 @@ class _Path:
 def evaluate_cost(
     problem: Problem,
     x0: NetworkPoint,
-    schedule: ControlSchedule,
+    schedule: tuple[SchedulePiece, ...],
     substeps: int = 16,
     h_snap: float = DEFAULT_H_SNAP,
 ) -> Trajectory:
     """Integrate the discounted cost of an explicit control schedule.
 
     Dynamics are integrated by explicit Euler with duration/substeps per
-    piece; the running cost uses the left-endpoint rectangle rule.  A mix
-    piece takes the mixed (f, ell) at the current s, so a stationary mix at
-    O stays there and charges nothing.  A piece naming a control outside
-    its edge's list, or another edge while the state is beyond h_snap of
-    the vertex, is rejected.  The tail bound exp(-lam*T) * (sup_bound/lam
-    + cheapest switching cost) covers the value of any optimal
-    continuation after the horizon plus one imminent switch charge.
+    piece; the running cost uses the left-endpoint rectangle rule.  Every
+    substep evaluates its piece at the current s (ell before f, control
+    before partner); a mix weighs the two by theta and 1 - theta, and a
+    mixed |f| <= ZERO_VELOCITY_TOL is 0, as in vertex_data, so a stationary
+    mix at O stays there and charges nothing.  A piece naming a control
+    outside its edge's list, or another edge while the state is beyond
+    h_snap of the vertex, is rejected.  The tail bound exp(-lam*T) *
+    (sup_bound/lam + cheapest switching cost) covers the value of any
+    optimal continuation after the horizon plus one imminent switch charge.
 
     Inward velocities at the vertex are projected (the state stays at 0),
     so a substep that overshoots the vertex is priced with O(dt) error;
@@ -236,8 +207,9 @@ def evaluate_cost(
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    evaluate = exprlang.evaluate
     path = _Path(problem, x0)
-    for piece in schedule.pieces:
+    for piece in schedule:
         if piece.edge != path.edge:
             if path.s > h_snap:
                 raise ValueError(
@@ -246,11 +218,21 @@ def evaluate_cost(
                 )
             path.snap()
             path.edge = piece.edge
-        for a in (piece.control, piece.partner):
-            if a is not None and a not in problem.edge(path.edge).controls:
-                raise ValueError(f"control {a!r} is not in edge {path.edge}'s control list")
+        spec = problem.edge(path.edge)
+        a, b, theta = piece.control, piece.partner, piece.theta
+        for c in (a, b):
+            if c is not None and c not in spec.controls:
+                raise ValueError(f"control {c!r} is not in edge {path.edge}'s control list")
         dt = piece.duration / substeps
-        path.advance(piece.control, dt, substeps, theta=piece.theta, partner=piece.partner)
+        for _ in range(substeps):
+            s = path.s
+            ell = evaluate(spec.running_cost, s, a)
+            f = evaluate(spec.velocity, s, a)
+            if b is not None:
+                ell = theta * ell + (1.0 - theta) * evaluate(spec.running_cost, s, b)
+                f = theta * f + (1.0 - theta) * evaluate(spec.velocity, s, b)
+                f = 0.0 if abs(f) <= ZERO_VELOCITY_TOL else f
+            path.step(f, ell, dt)
     return path.trajectory(schedule)
 
 
@@ -410,7 +392,7 @@ def connect(
     x1: NetworkPoint,
     x2: NetworkPoint,
     h_snap: float = DEFAULT_H_SNAP,
-) -> tuple[ControlSchedule, float]:
+) -> tuple[tuple[SchedulePiece, ...], float]:
     """Schedule driving x1 to x2, routed through the vertex when the edges
     differ, and the travel time tau it takes.
 
@@ -439,7 +421,7 @@ def connect(
             )
 
     if x1 == x2:
-        return ControlSchedule(()), 0.0
+        return (), 0.0
 
     def leg(edge: int, s_from: float, s_to: float) -> SchedulePiece | None:
         length = abs(s_to - s_from)
@@ -466,7 +448,7 @@ def connect(
     else:
         legs = [leg(x1.edge, x1.s, 0.0), leg(x2.edge, 0.0, x2.s)]
     pieces = tuple(piece for piece in legs if piece is not None)
-    return ControlSchedule(pieces), math.fsum(piece.duration for piece in pieces)
+    return pieces, math.fsum(piece.duration for piece in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +494,20 @@ def simulate(
     step's cost and the discounted field value after it; or parking
     forever, priced at its charge and recorded as one schedule piece (a
     sampled control, or a pair and theta as one relaxed piece), which
-    evaluate_cost replays.
+    evaluate_cost replays.  Every step hands the chosen control's (f, ell)
+    or the vertex action's (velocity, cost) to _Path.step, as replays do.
 
     The rollout simulates the truncated model the field was solved for:
     like the scheme's feet, an Euler step that would pass the field's l_max
     ends at l_max, and Trajectory.left_domain records that this happened.
     The returned schedule then replays the untruncated model (in
-    evaluate_cost) only up to the first clamp.  Raises ValueError when dt
-    is given and is not the field's dt, the horizon is negative, x0 lies
-    off the field's domain (an edge label outside 1..N or s beyond l_max),
-    or the field does not have one row per edge of the problem with a value
-    other than NaN at every node of its grid (an oracle field has none at
-    the per-edge vertex limits).
+    evaluate_cost) only up to the first clamp.  Raises ValueError when the
+    field does not have one row per edge of the problem with a value other
+    than NaN at every node of its grid (an oracle field has none at the
+    per-edge vertex limits) or states it was solved for another problem
+    (ValueField.check_problem), dt is given and is not the field's dt, the
+    horizon is negative, or x0 lies off the field's domain (an edge label
+    outside 1..N or s beyond l_max).
     """
     grid = field.grid
     if field.values.shape != (problem.n_edges, grid.n_intervals + 1):
@@ -532,6 +516,7 @@ def simulate(
             f"field has {n_edges} edges of {n_nodes} nodes; the problem has "
             f"{problem.n_edges} edges and the grid {grid.n_intervals + 1} nodes"
         )
+    field.check_problem(problem)
     if np.isnan(field.values).any():
         raise ValueError("the field has NaN nodes (an oracle field?)")
     if dt is not None and dt != grid.dt:
@@ -595,7 +580,7 @@ def simulate(
                 path.edge, path.s, path.t = choice.edge, 0.0, horizon
                 path.sample()
                 break
-            edge, a, first = choice.edge, a_vertex, (act.velocity, act.cost)
+            edge, a, move = choice.edge, a_vertex, (act.velocity, act.cost)
         else:
             # The first control with the least one-step Bellman value, from
             # f and ell of every control in one kernel call; where that
@@ -613,14 +598,13 @@ def simulate(
             for b, f, ell in zip(spec.controls, pair, pair):
                 value = dt * ell + beta * _interp(u, h, l_max, s + dt * f)
                 if best is None or value < best:
-                    best, a, first = value, b, (f, ell)
+                    best, a, move = value, b, (f, ell)
 
         path.edge = edge
         record(dt, edge, a, 1.0)
-        path.advance(a, dt, first=first)
+        path.step(*move, dt)
 
-    pieces = tuple(SchedulePiece(duration, *key) for key, duration in runs)
-    return path.trajectory(ControlSchedule(pieces))
+    return path.trajectory(tuple(SchedulePiece(duration, *key) for key, duration in runs))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,12 @@ class ValueField:
         if self.values.ndim != 2:
             raise ValueError("field values must be N rows of equal length")
 
+    def check_problem(self, problem: Problem):
+        """Raise ValueError when the field names a digest not problem's."""
+        if self.digest is not None and self.digest != (digest := problem_digest(problem)):
+            raise ValueError(f"the field was solved for another problem (digest "
+                             f"{self.digest}, this problem's is {digest})")
+
     def sup_distance(self, other: "ValueField") -> float:
         return float(np.abs(self.values - other.values).max())
 
@@ -452,8 +458,10 @@ def _reconstruct_vertex(field: ValueField, system: DiscreteSystem) -> float:
 
 def residual(field: ValueField, system: DiscreteSystem):
     """|u - update(u)| per node, as an (N, n+1) array, and its max over all
-    nodes.  Raises ValueError for a field with NaN nodes, such as an oracle
-    field, which has no per-edge vertex limits."""
+    nodes.  Raises ValueError for a field that states it was solved for
+    another problem than the system's, or one with NaN nodes, such as an
+    oracle field, which has no per-edge vertex limits."""
+    field.check_problem(system.problem)
     if np.isnan(field.values).any():
         raise ValueError("the field has NaN nodes (an oracle field?)")
     updated, _ = sweep(field, system)

@@ -4,7 +4,9 @@ Each problem below has its value function in closed form.  At h = dt the
 scheme converges at first order, so the sup error over the nodes in
 [0, 3] of every edge, and at v(O), must be at most C * h, and halving h
 must halve it: the observed order lies in [0.9, 1.1].  C is the measured
-error constant (0.476 and 0.280) rounded up, to 0.5 and 0.3.
+error constant rounded up: 0.476 to 0.5, 0.280 to 0.3, 1.411 to 1.5 (the
+faster edge with ell = 1 + x) and 1.603 to 1.7 (the exit hold, whose u_2
+and v(O) come out exact).
 """
 
 import math
@@ -30,6 +32,22 @@ f = a
 ell = 1 - a
 """
 
+# The exit hold: hovering just off O on edge 1 costs 0.2 + x and pays no
+# exit cost, so u_1(0+) = 0.2 while v(O) = 0 (from O, edge 2 is free).
+EXIT_HOLD = """\
+lambda = 1
+regime = exit
+costs = 1, 0
+[edge]
+controls = -1, 0, 1
+f = a
+ell = 0.2 + x
+[edge]
+controls = -1, 0, 1
+f = a
+ell = 1 - a
+"""
+
 
 def _to_o_then_free(s):
     # Run to O at unit speed paying ell = 1, then switch into edge 2 for free.
@@ -45,6 +63,14 @@ CASES = {
     "faster-edge": (
         jh.parse_problem(FASTER_EDGE), lambda s: 1.0 - 0.5 / (1.0 + s), 0.5, 0.3
     ),
+    # The faster edge with ell = 1 + x on edge 1: running to O costs
+    # (1 + s)/2 - 0.5/(1 + s), and the discounted entry into edge 2 the rest.
+    "faster-edge-sloped-cost": (
+        jh.parse_problem(FASTER_EDGE.replace("ell = 1\n", "ell = 1 + x\n", 1)),
+        lambda s: (1.0 + s) / 2.0, 0.5, 1.5,
+    ),
+    # Edge 1 runs toward O and hovers just off it.
+    "exit-hold": (jh.parse_problem(EXIT_HOLD), lambda s: s - 0.8 + np.exp(-s), 0.0, 1.7),
 }
 
 

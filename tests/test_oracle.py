@@ -14,7 +14,6 @@ from junction_hjb import oracle
 from junction_hjb.cli import main
 from junction_hjb.model import CostRegime, NetworkPoint, Problem, parse_problem
 from junction_hjb.oracle import (
-    ControlSchedule,
     SchedulePiece,
     Trajectory,
     _snapped_mdp,
@@ -30,9 +29,7 @@ from junction_hjb.solver import GridParams
 
 def test_evaluate_cost_closed_form_value(benchmark_problem):
     ln2 = math.log(2)
-    sched = ControlSchedule(
-        (SchedulePiece(ln2, 1, -1.0), SchedulePiece(20.0 - ln2, 2, 1.0))
-    )
+    sched = (SchedulePiece(ln2, 1, -1.0), SchedulePiece(20.0 - ln2, 2, 1.0))
     traj = evaluate_cost(benchmark_problem, NetworkPoint(1, ln2), sched, substeps=4000)
     expected = (1 - math.exp(-ln2)) + 0.5 * math.exp(-ln2)  # = 0.75
     assert traj.cost == pytest.approx(expected, abs=0.01)
@@ -43,20 +40,20 @@ def test_evaluate_cost_closed_form_value(benchmark_problem):
 
 
 def test_evaluate_cost_stay_put(benchmark_problem):
-    sched = ControlSchedule((SchedulePiece(20.0, 1, 0.0),))
+    sched = (SchedulePiece(20.0, 1, 0.0),)
     traj = evaluate_cost(benchmark_problem, NetworkPoint(1, 1.0), sched, substeps=4000)
     assert traj.cost == pytest.approx(1.0, abs=0.01)
     assert traj.switches == ()
 
 
 def test_evaluate_cost_enter_from_vertex(benchmark_problem):
-    sched = ControlSchedule((SchedulePiece(20.0, 2, 1.0),))
+    sched = (SchedulePiece(20.0, 2, 1.0),)
     traj = evaluate_cost(benchmark_problem, NetworkPoint(2, 0.0), sched, substeps=4000)
     assert traj.cost == pytest.approx(0.5, abs=0.01)  # entry cost, zero running
 
 
 def test_evaluate_cost_rejects_switch_away_from_vertex(benchmark_problem):
-    sched = ControlSchedule((SchedulePiece(1.0, 1, 0.0), SchedulePiece(1.0, 2, 1.0)))
+    sched = (SchedulePiece(1.0, 1, 0.0), SchedulePiece(1.0, 2, 1.0))
     with pytest.raises(ValueError, match="switch away from O"):
         evaluate_cost(benchmark_problem, NetworkPoint(1, 1.0), sched, substeps=100)
 
@@ -66,7 +63,7 @@ def test_evaluate_cost_rejects_unknown_control(benchmark_problem):
     for piece in (SchedulePiece(1.0, 1, 0.3), SchedulePiece(1.0, 1, -1.0, 0.5, 0.3)):
         with pytest.raises(ValueError, match="control list"):
             evaluate_cost(
-                benchmark_problem, NetworkPoint(1, 1.0), ControlSchedule((piece,)), substeps=10
+                benchmark_problem, NetworkPoint(1, 1.0), (piece,), substeps=10
             )
     # A weight outside (0, 1], a partner without a weight below 1, or a
     # weight below 1 without a partner names no relaxed control.
@@ -89,7 +86,7 @@ def test_evaluate_cost_parks_on_a_stationary_mix_at_the_vertex():
     # (1 - exp(-T)) / lam.
     p = parse_problem("lambda = 1\nregime = entry\ncosts = 2, 3\n" + HULL_ONLY)
     T, substeps = 20.0, 2000
-    sched = ControlSchedule((SchedulePiece(T, 1, -1.0, 0.5, 1.0),))
+    sched = (SchedulePiece(T, 1, -1.0, 0.5, 1.0),)
     traj = evaluate_cost(p, NetworkPoint(1, 0.0), sched, substeps=substeps)
     assert (traj.positions == 0.0).all() and traj.switches == ()
     dt = T / substeps
@@ -108,7 +105,7 @@ def test_evaluate_cost_mixes_f_and_ell_at_the_current_position():
         "[edge]\ncontrols = -1, 1\nf = a\nell = 1\n"
     )
     x0, T = 0.5, 1.0
-    sched = ControlSchedule((SchedulePiece(T, 1, -1.0, 0.25, 1.0),))
+    sched = (SchedulePiece(T, 1, -1.0, 0.25, 1.0),)
     traj = evaluate_cost(p, NetworkPoint(1, x0), sched, substeps=1000)
     assert traj.positions[-1] == pytest.approx((x0 + 0.5) * math.exp(T) - 0.5, rel=1e-3)
     assert traj.cost == pytest.approx((x0 + 0.5) * T, rel=1e-3)
@@ -117,9 +114,7 @@ def test_evaluate_cost_mixes_f_and_ell_at_the_current_position():
 
 def test_evaluate_cost_exit_regime_charges_on_reaching_vertex():
     p = jh.builtin_problem("exit-basic")  # d = (0, 0.5)
-    sched = ControlSchedule(
-        (SchedulePiece(1.0, 2, -1.0), SchedulePiece(1.0, 1, 1.0))
-    )
+    sched = (SchedulePiece(1.0, 2, -1.0), SchedulePiece(1.0, 1, 1.0))
     traj = evaluate_cost(p, NetworkPoint(2, 1.0), sched, substeps=1000)
     exits = [ev for ev in traj.switches if ev.kind == "exit"]
     assert len(exits) == 1
@@ -183,9 +178,9 @@ def test_connect_same_edge(benchmark_problem):
     sched, tau = connect(benchmark_problem, x1, x2)
     assert tau <= 2 * 0.2 + 2 * 0.005
     assert tau == pytest.approx(jh.geodesic_distance(x1, x2), abs=1e-12)
-    assert len(sched.pieces) == 1
-    assert sched.pieces[0].edge == 1
-    assert sched.pieces[0].control == 1.0  # fastest outward control
+    assert len(sched) == 1
+    assert sched[0].edge == 1
+    assert sched[0].control == 1.0  # fastest outward control
 
 
 def test_connect_via_vertex(benchmark_problem):
@@ -193,13 +188,13 @@ def test_connect_via_vertex(benchmark_problem):
     sched, tau = connect(benchmark_problem, x1, x2)
     assert tau <= 2 * 0.2 + 2 * 0.005
     assert tau == pytest.approx(jh.geodesic_distance(x1, x2), abs=1e-12)
-    assert [p.edge for p in sched.pieces] == [1, 2]
+    assert [p.edge for p in sched] == [1, 2]
 
 
 def test_connect_identical_points(benchmark_problem):
     sched, tau = connect(benchmark_problem, NetworkPoint(1, 0.1), NetworkPoint(1, 0.1))
     assert tau == 0.0
-    assert sched.pieces == ()
+    assert sched == ()
 
 
 def test_connect_endpoint_reached(benchmark_problem):
@@ -328,7 +323,7 @@ def test_simulate_stall_schedule_replays(fine_grid):
     for p, x0, substeps in cases:
         field, _ = jh.solve(p, fine_grid)
         traj = simulate(p, x0, field, horizon=20.0, dt=0.01)
-        assert len(traj.schedule.pieces) <= 2
+        assert len(traj.schedule) <= 2
         replay = evaluate_cost(p, x0, traj.schedule, substeps=substeps)
         assert replay.cost == pytest.approx(traj.cost, abs=0.02)
 
@@ -384,6 +379,23 @@ def test_simulate_rejects_mismatched_field(benchmark_problem, benchmark_solution
     short = jh.ValueField(tuple(u[:-1] for u in field.values), field.grid)
     with pytest.raises(ValueError, match="nodes"):
         simulate(benchmark_problem, NetworkPoint(1, 0.5), short, horizon=1.0, dt=0.01)
+
+
+def test_simulate_and_residual_refuse_a_field_of_another_problem(benchmark_solution):
+    # entry-basic's field has entry-expensive's shape and grid: without the
+    # digest check a rollout on entry-expensive from (1, 1.0) cost 1.003
+    # and its residual read 0.005, numbers of neither problem.
+    field, _ = benchmark_solution
+    other = jh.builtin_problem("entry-expensive")
+    system = jh.build_system(other, field.grid)
+    with pytest.raises(ValueError, match="another problem"):
+        simulate(other, NetworkPoint(1, 1.0), field, horizon=1.0)
+    with pytest.raises(ValueError, match="another problem"):
+        jh.residual(field, system)
+    # A field that names no problem is still taken.
+    anonymous = jh.ValueField(field.values, field.grid, field.vertex_reconstruction)
+    assert math.isfinite(simulate(other, NetworkPoint(1, 1.0), anonymous, horizon=1.0).cost)
+    assert math.isfinite(jh.residual(anonymous, system)[1])
 
 
 def test_simulate_steps_only_with_the_field_dt(benchmark_problem, benchmark_solution):
@@ -524,7 +536,9 @@ def test_simulate_raises_evaluates_error_where_the_kernel_fails(name, benchmark_
         pass
     else:
         assert not all(map(math.isfinite, values))
-    field, _ = benchmark_solution
+    # entry-basic's field, without the digest that names entry-basic, so
+    # that simulate takes it for this problem.
+    field = jh.ValueField(benchmark_solution[0].values, benchmark_solution[0].grid)
     with pytest.raises(jh.exprlang.EvalError) as raised:
         simulate(problem, NetworkPoint(1, s), field, horizon=1.0)
     assert str(raised.value) == str(expected.value)
@@ -610,7 +624,7 @@ def test_branch_charges_match_the_recorded_switch_events(index):
     dt = 0.01
 
     def recorded(start, pieces):
-        traj = evaluate_cost(problem, start, ControlSchedule(tuple(pieces)), substeps=1)
+        traj = evaluate_cost(problem, start, tuple(pieces), substeps=1)
         return math.fsum(
             ev.charged_cost / math.exp(-problem.lam * ev.time) for ev in traj.switches
         )
@@ -638,13 +652,7 @@ def test_branch_charges_match_the_recorded_switch_events(index):
 
 def test_evaluate_cost_charges_each_reentry(benchmark_problem):
     # Out, back to the vertex, out again: two entry charges on edge 2.
-    sched = ControlSchedule(
-        (
-            SchedulePiece(1.0, 2, 1.0),
-            SchedulePiece(1.0, 2, -1.0),
-            SchedulePiece(1.0, 2, 1.0),
-        )
-    )
+    sched = (SchedulePiece(1.0, 2, 1.0), SchedulePiece(1.0, 2, -1.0), SchedulePiece(1.0, 2, 1.0))
     traj = evaluate_cost(benchmark_problem, NetworkPoint(2, 0.0), sched, substeps=1000)
     entries = [ev for ev in traj.switches if ev.kind == "entry"]
     assert len(entries) == 2
@@ -668,18 +676,10 @@ def test_value_dominance(benchmark_problem, fine_grid, benchmark_solution):
     k = round(1.0 / fine_grid.h)
     value = float(field.values[0][k])
     schedules = [
-        ControlSchedule((SchedulePiece(20.0, 1, 0.0),)),
-        ControlSchedule((SchedulePiece(20.0, 1, 1.0),)),
-        ControlSchedule(
-            (
-                SchedulePiece(0.5, 1, 1.0),
-                SchedulePiece(1.5, 1, -1.0),
-                SchedulePiece(18.0, 2, 1.0),
-            )
-        ),
-        ControlSchedule(
-            (SchedulePiece(1.0, 1, -1.0), SchedulePiece(19.0, 2, 1.0))
-        ),
+        (SchedulePiece(20.0, 1, 0.0),),
+        (SchedulePiece(20.0, 1, 1.0),),
+        (SchedulePiece(0.5, 1, 1.0), SchedulePiece(1.5, 1, -1.0), SchedulePiece(18.0, 2, 1.0)),
+        (SchedulePiece(1.0, 1, -1.0), SchedulePiece(19.0, 2, 1.0)),
     ]
     for sched in schedules:
         traj = evaluate_cost(benchmark_problem, NetworkPoint(1, 1.0), sched, substeps=4000)
@@ -871,7 +871,7 @@ def _controls_per_step(traj: Trajectory, horizon: float, dt: float):
     n_steps = round(horizon / dt)
     steps = len(traj.times) - 1 - (len(traj.times) != n_steps + 1)
     per_step = []
-    for piece in traj.schedule.pieces:
+    for piece in traj.schedule:
         per_step += [(piece.edge, piece.control)] * round(piece.duration / dt)
     return per_step[:steps]
 
@@ -911,6 +911,34 @@ def test_simulate_takes_a_least_bellman_value_control_at_interior_steps(fine_gri
     assert checked > 10000
 
 
+def test_rollout_and_replay_take_the_same_step(benchmark_problem, fine_grid):
+    # A rollout that stays beyond h/2 of O and below l_max never snaps,
+    # parks or clamps, so its schedule cut into one piece per step and
+    # replayed at one substep a piece must retrace it bit for bit: both go
+    # through the one Euler step, with the same f and ell.
+    dt, horizon = fine_grid.dt, 1.0
+    rng = np.random.default_rng(20260810)
+    problems = [benchmark_problem] + [make_random_problem(rng) for _ in range(4)]
+    checked = 0
+    for problem in problems:
+        field, _ = jh.solve(problem, fine_grid)
+        for edge in problem.junction.edge_labels:
+            for s in (1.0, 2.0, 3.0):
+                start = NetworkPoint(edge, s)
+                traj = simulate(problem, start, field, horizon)
+                if not (fine_grid.h / 2 < traj.positions).all() or traj.left_domain:
+                    continue
+                steps = _controls_per_step(traj, horizon, dt)
+                assert len(steps) == len(traj.times) - 1
+                pieces = tuple(SchedulePiece(dt, e, a) for e, a in steps)
+                replay = evaluate_cost(problem, start, pieces, substeps=1)
+                for name in ("times", "edges", "positions", "accumulated"):
+                    assert getattr(replay, name).tobytes() == getattr(traj, name).tobytes(), name
+                assert replay.cost == traj.cost and replay.switches == traj.switches == ()
+                checked += 1
+    assert checked == 38
+
+
 def test_simulate_step_loop_reads_no_numpy():
     # The rollout's step loop runs on Python floats: the field is read into
     # lists once per rollout, before the loop.
@@ -948,7 +976,7 @@ def test_trajectory_csv_keeps_its_format(fine_grid):
     field, _ = jh.solve(mirror, fine_grid)
     clamped = simulate(mirror, NetworkPoint(1, 0.5), field, horizon=25.0, dt=0.01)
     assert clamped.left_domain and not parked.left_domain
-    assert parked.schedule.pieces[-1].partner is not None and len(parked.times) < 2500
+    assert parked.schedule[-1].partner is not None and len(parked.times) < 2500
     for traj in (clamped, parked):
         assert trajectory_to_csv(traj) == _numpy_scalar_trajectory_csv(traj)
         sidecar = switches_to_csv(traj)

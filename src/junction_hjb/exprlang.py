@@ -31,7 +31,8 @@ raises: invalid entries come out non-finite.
 ``kernel`` compiles an edge's f and ell at all of its controls into one
 call from the same source text, so its floats are evaluate's bit for bit;
 ``EdgeSpec.kernel`` keeps one per edge, and a rollout step
-(``oracle.simulate``) calls it once instead of evaluate twice per control.
+(``oracle.simulate``) calls it once instead of evaluate twice per control,
+as does a replay substep (``oracle.evaluate_cost``).
 """
 
 from __future__ import annotations
@@ -190,11 +191,19 @@ def evaluate(expr: Expression, x: float, a: float) -> float:
 
 def evaluate_array(expr: Expression, x, a) -> np.ndarray:
     """Vectorized evaluation over numpy arrays (broadcasting x against a);
-    invalid operations give non-finite entries, for callers to judge."""
+    invalid operations give non-finite entries, for callers to judge.
+    Returns a fresh float array of the broadcast shape, never x or a: a
+    compiled result of that shape is new unless the formula is x or a
+    alone, and any other result is broadcast into a new array."""
     x, a = np.asarray(x, dtype=float), np.asarray(a, dtype=float)
     with np.errstate(all="ignore"):
         out = expr._array(x, a)
-    return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(x.shape, a.shape)).copy()
+    shape = np.broadcast(x, a).shape
+    if type(out) is np.ndarray and out.shape == shape and out is not x and out is not a:
+        return out
+    fresh = np.empty(shape)
+    fresh[...] = out
+    return fresh
 
 
 def _finite(value):

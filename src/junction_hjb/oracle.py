@@ -11,7 +11,8 @@ evidence rather than tautology.  evaluate_cost replays a schedule, a tuple
 of SchedulePieces, and integrates its discounted cost; connect constructs
 one between two points near the vertex and certifies its travel time;
 simulate rolls out the greedy feedback policy of a solved field.  Both
-step by _Path.step, which also charges the edge entries and exits.
+read f and ell from the edge's compiled kernel and step by _Path.step,
+which also charges the edge entries and exits.
 
 Switch accounting follows the cost functionals: with entry costs, a charge
 falls due each time the state moves off the vertex into an edge
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 DEFAULT_H_SNAP = 0.005  # half the default mesh h = 0.01
+
+
+def _check_h_snap(h_snap: float):
+    if not 0.0 < h_snap < math.inf:
+        raise ValueError(f"h_snap must be finite and positive, got {h_snap!r}")
 
 
 @dataclass(frozen=True)
@@ -191,12 +197,17 @@ def evaluate_cost(
 
     Dynamics are integrated by explicit Euler with duration/substeps per
     piece; the running cost uses the left-endpoint rectangle rule.  Every
-    substep evaluates its piece at the current s (ell before f, control
-    before partner); a mix weighs the two by theta and 1 - theta, and a
-    mixed |f| <= ZERO_VELOCITY_TOL is 0, as in vertex_data, so a stationary
-    mix at O stays there and charges nothing.  A piece naming a control
-    outside its edge's list, or another edge while the state is beyond
-    h_snap of the vertex, is rejected.  The tail bound exp(-lam*T) *
+    substep reads its piece's f and ell at the current s from one call of
+    the edge's compiled kernel (EdgeSpec.kernel), as a rollout step does;
+    where that call raises or gives the piece a value that is not finite,
+    the substep evaluates the piece (ell before f, control before partner)
+    and raises evaluate's EvalError where one fails.  A mix weighs the two
+    by theta and 1 - theta, and a mixed |f| <= ZERO_VELOCITY_TOL is 0, as in
+    vertex_data, so a stationary mix at O stays there and charges nothing.
+    A piece naming a control outside its edge's list, or another edge while
+    the state is beyond h_snap of the vertex, is rejected, as are substeps
+    other than an int >= 1 and h_snap outside (0, inf), before any work is
+    done.  The tail bound exp(-lam*T) *
     (sup_bound/lam + cheapest switching cost) covers the value of any
     optimal continuation after the horizon plus one imminent switch charge.
 
@@ -205,8 +216,9 @@ def evaluate_cost(
     a schedule that deliberately parks on an inward control is priced at
     that control's cost even though no admissible trajectory realizes it.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValueError(f"substeps must be an int >= 1, got {substeps!r}")
+    _check_h_snap(h_snap)
     evaluate = exprlang.evaluate
     path = _Path(problem, x0)
     for piece in schedule:
@@ -223,14 +235,23 @@ def evaluate_cost(
         for c in (a, b):
             if c is not None and c not in spec.controls:
                 raise ValueError(f"control {c!r} is not in edge {path.edge}'s control list")
+        kernel, i = spec.kernel, 2 * spec.controls.index(a)
+        j = i if b is None else 2 * spec.controls.index(b)
         dt = piece.duration / substeps
         for _ in range(substeps):
             s = path.s
-            ell = evaluate(spec.running_cost, s, a)
-            f = evaluate(spec.velocity, s, a)
+            try:
+                values = kernel(s)
+                f, ell, f_b, ell_b = values[i], values[i + 1], values[j], values[j + 1]
+            except (ArithmeticError, ValueError):
+                f = ell = f_b = ell_b = math.nan
+            if not math.isfinite(f + ell + f_b + ell_b):  # evaluate raises where one fails
+                ell, f = evaluate(spec.running_cost, s, a), evaluate(spec.velocity, s, a)
+                if b is not None:
+                    ell_b, f_b = evaluate(spec.running_cost, s, b), evaluate(spec.velocity, s, b)
             if b is not None:
-                ell = theta * ell + (1.0 - theta) * evaluate(spec.running_cost, s, b)
-                f = theta * f + (1.0 - theta) * evaluate(spec.velocity, s, b)
+                ell = theta * ell + (1.0 - theta) * ell_b
+                f = theta * f + (1.0 - theta) * f_b
                 f = 0.0 if abs(f) <= ZERO_VELOCITY_TOL else f
             path.step(f, ell, dt)
     return path.trajectory(schedule)
@@ -405,9 +426,13 @@ def connect(
     must lie in the ball of radius margin / (2 * f_lipschitz) around the
     vertex (the whole junction when the dynamics are position-independent),
     where the fastest sampled controls keep speed at least margin/2.
-    Raises RuntimeError when a sampled speed along a leg is not finite or
-    does not point toward the leg's target.
+    A leg's control is the first with the largest speed toward its target
+    at O; its speeds come from one exprlang.evaluate_array call on the
+    nodes np.linspace would place.  Raises ValueError when h_snap is not in
+    (0, inf), and RuntimeError when a sampled speed along a leg is not
+    finite or does not point toward the leg's target.
     """
+    _check_h_snap(h_snap)
     report = _cached_validate(problem, 101, 4.0)
     if report.margin <= 0:
         raise ValueError("controllability margin is not positive")
@@ -428,13 +453,15 @@ def connect(
         if length <= h_snap:
             return None
         spec = problem.edge(edge)
-        velocities = [exprlang.evaluate(spec.velocity, 0.0, a) for a in spec.controls]
         direction = math.copysign(1.0, s_to - s_from)
-        a = spec.controls[int(np.argmax(direction * np.asarray(velocities)))]
+        reach = [direction * exprlang.evaluate(spec.velocity, 0.0, b) for b in spec.controls]
+        a = spec.controls[reach.index(max(reach))]  # the first fastest, as np.argmax
         intervals = math.ceil(length / h_snap)
-        nodes = np.linspace(s_from, s_to, intervals + 1)
+        # np.linspace(s_from, s_to, intervals + 1), by its own formula
+        nodes = np.arange(intervals + 1.0) * ((s_to - s_from) / intervals) + s_from
+        nodes[-1] = s_to
         speed = direction * exprlang.evaluate_array(spec.velocity, nodes, a)
-        if not (np.isfinite(speed) & (speed > 0.0)).all():
+        if not 0.0 < speed.min() <= speed.max() < math.inf:  # nan fails too
             raise RuntimeError(
                 f"connect: the speed of control {a!r} on edge {edge} does not "
                 f"stay finite and toward s = {s_to:.6g}"

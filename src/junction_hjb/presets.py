@@ -6,7 +6,10 @@ at rate 1.  Its value function is known in closed form, which makes the
 variants below the standard cross-checks: a cheap entry cost (the value is
 discontinuous at the vertex), an entry cost too expensive to ever pay, all
 costs zero (the continuous junction problem), one zero cost (mixed
-regime), and the exit-cost mirror.
+regime), and the exit-cost mirror.  The exit hold charges exit costs
+(1, 0) and running cost 0.2 + x on edge 1: its u_1 = s - 0.8 + e^(-s)
+tends to 0.2 at O while v(O) = 0, because hovering just off O on edge 1
+pays no exit cost.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ ell = 1 - a
 """
 
 
-def _variant(regime: str, costs: str) -> str:
+def _variant(regime: str, costs: str, ell_1: str = "1") -> str:
     return (
         f"lambda = 1.0\n"
         f"regime = {regime}\n"
@@ -38,7 +41,7 @@ def _variant(regime: str, costs: str) -> str:
         "[edge]\n"
         "controls = -1, 0, 1\n"
         "f = a\n"
-        "ell = 1\n"
+        f"ell = {ell_1}\n"
         "[edge]\n"
         "controls = -1, 0, 1\n"
         "f = a\n"
@@ -52,6 +55,7 @@ _SPECS = {
     "entry-free": _variant("entry", "0.0, 0.0"),
     "entry-mixed": _variant("entry", "10.0, 0.0"),
     "exit-basic": _variant("exit", "0.0, 0.5"),
+    "exit-hold": _variant("exit", "1.0, 0.0", ell_1="0.2 + x"),
 }
 
 

@@ -32,22 +32,6 @@ f = a
 ell = 1 - a
 """
 
-# The exit hold: hovering just off O on edge 1 costs 0.2 + x and pays no
-# exit cost, so u_1(0+) = 0.2 while v(O) = 0 (from O, edge 2 is free).
-EXIT_HOLD = """\
-lambda = 1
-regime = exit
-costs = 1, 0
-[edge]
-controls = -1, 0, 1
-f = a
-ell = 0.2 + x
-[edge]
-controls = -1, 0, 1
-f = a
-ell = 1 - a
-"""
-
 
 def _to_o_then_free(s):
     # Run to O at unit speed paying ell = 1, then switch into edge 2 for free.
@@ -69,8 +53,10 @@ CASES = {
         jh.parse_problem(FASTER_EDGE.replace("ell = 1\n", "ell = 1 + x\n", 1)),
         lambda s: (1.0 + s) / 2.0, 0.5, 1.5,
     ),
-    # Edge 1 runs toward O and hovers just off it.
-    "exit-hold": (jh.parse_problem(EXIT_HOLD), lambda s: s - 0.8 + np.exp(-s), 0.0, 1.7),
+    # The exit hold: edge 1 runs toward O and hovers just off it, where
+    # ell = 0.2 + x and no exit cost is paid, so u_1(0+) = 0.2 while
+    # v(O) = 0 (from O, edge 2 is free).
+    "exit-hold": (jh.builtin_problem("exit-hold"), lambda s: s - 0.8 + np.exp(-s), 0.0, 1.7),
 }
 
 

@@ -239,19 +239,38 @@ def test_connect_raises_when_the_speed_turns_back():
         connect(p, NetworkPoint(1, 0.3), NetworkPoint(2, 0.1))
 
 
-def test_connect_replays_on_position_dependent_dynamics():
-    # The acceptance seed's random problems 0-19, whose speeds depend on x:
-    # every schedule replays through evaluate_cost at its default substeps
-    # (no "switch away from O") and ends within 2 h_snap of x2.
-    h_snap = 0.005
+@pytest.mark.parametrize("name, value", [
+    ("h_snap", 0.0), ("h_snap", -0.01), ("h_snap", math.nan), ("h_snap", math.inf),
+    ("substeps", 0), ("substeps", -1), ("substeps", 2.5), ("substeps", 16.0),
+])
+def test_connect_and_evaluate_cost_reject_an_h_snap_or_substeps_out_of_range(
+    benchmark_problem, name, value
+):
+    # An h_snap outside (0, inf) or a substeps that is not an int >= 1 is
+    # refused by name before any work: connect(h_snap=inf) would skip every
+    # leg and report tau = 0, and with h_snap = nan the replay would switch
+    # edges in mid-edge, since no s exceeds nan.
+    kwargs = {name: value}
+    x1, x2 = NetworkPoint(1, 0.3), NetworkPoint(2, 0.4)
+    switch_in_mid_edge = (SchedulePiece(0.1, 1, -1.0), SchedulePiece(0.4, 2, 1.0))
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
+        evaluate_cost(benchmark_problem, x1, switch_in_mid_edge, **kwargs)
+    if name == "h_snap":
+        with pytest.raises(ValueError, match=f"^h_snap must be .*, got {value!r}$"):
+            connect(benchmark_problem, x1, x2, **kwargs)
+
+
+def _ball_pairs(per_problem: int):
+    """(problem, x1, x2) for the acceptance seed's random problems 0-19,
+    per_problem pairs each, drawn in the problem's controllability ball
+    (radius at most 1)."""
     rng = np.random.default_rng(20260810)
     problems = [make_random_problem(rng) for _ in range(20)]
     pair_rng = np.random.default_rng(0)
-    missed = []
     for problem in problems:
         report = jh.validate(problem)
         radius = min(report.margin / (2 * report.f_lipschitz), 1.0)
-        for _ in range(10):
+        for _ in range(per_problem):
             x1, x2 = (
                 NetworkPoint(
                     int(pair_rng.integers(1, problem.n_edges + 1)),
@@ -259,16 +278,74 @@ def test_connect_replays_on_position_dependent_dynamics():
                 )
                 for _ in range(2)
             )
-            sched, _ = connect(problem, x1, x2, h_snap=h_snap)
-            try:
-                traj = evaluate_cost(problem, x1, sched)
-            except ValueError as exc:
-                missed.append(f"{x1} -> {x2}: {exc}")
-                continue
-            end = NetworkPoint(int(traj.edges[-1]), float(traj.positions[-1]))
-            if jh.geodesic_distance(end, x2) > 2 * h_snap:
-                missed.append(f"{x1} -> {x2}: ends at {end}")
+            yield problem, x1, x2
+
+
+def test_connect_replays_on_position_dependent_dynamics():
+    # The acceptance seed's random problems 0-19, whose speeds depend on x:
+    # every schedule replays through evaluate_cost at its default substeps
+    # (no "switch away from O") and ends within 2 h_snap of x2.
+    h_snap = 0.005
+    missed = []
+    for problem, x1, x2 in _ball_pairs(10):
+        sched, _ = connect(problem, x1, x2, h_snap=h_snap)
+        try:
+            traj = evaluate_cost(problem, x1, sched)
+        except ValueError as exc:
+            missed.append(f"{x1} -> {x2}: {exc}")
+            continue
+        end = NetworkPoint(int(traj.edges[-1]), float(traj.positions[-1]))
+        if jh.geodesic_distance(end, x2) > 2 * h_snap:
+            missed.append(f"{x1} -> {x2}: ends at {end}")
     assert not missed, missed
+
+
+def _numpy_connect(problem: Problem, x1: NetworkPoint, x2: NetworkPoint, h_snap: float):
+    """connect's schedule and tau as its legs were built on numpy arrays:
+    np.argmax, np.linspace, evaluate_array, then the fsum trapezoid."""
+
+    def leg(edge, s_from, s_to):
+        length = abs(s_to - s_from)
+        if length <= h_snap:
+            return None
+        spec = problem.edge(edge)
+        velocities = [jh.exprlang.evaluate(spec.velocity, 0.0, a) for a in spec.controls]
+        direction = math.copysign(1.0, s_to - s_from)
+        a = spec.controls[int(np.argmax(direction * np.asarray(velocities)))]
+        intervals = math.ceil(length / h_snap)
+        nodes = np.linspace(s_from, s_to, intervals + 1)
+        speed = direction * jh.exprlang.evaluate_array(spec.velocity, nodes, a)
+        assert (np.isfinite(speed) & (speed > 0.0)).all()
+        pace = (1.0 / speed).tolist()
+        duration = length / intervals * (math.fsum(pace) - 0.5 * (pace[0] + pace[-1]))
+        return SchedulePiece(duration, edge, a)
+
+    if x1 == x2:
+        return (), 0.0
+    if x1.edge == x2.edge:
+        legs = [leg(x1.edge, x1.s, x2.s)]
+    else:
+        legs = [leg(x1.edge, x1.s, 0.0), leg(x2.edge, 0.0, x2.s)]
+    pieces = tuple(piece for piece in legs if piece is not None)
+    return pieces, math.fsum(piece.duration for piece in pieces)
+
+
+def test_connect_matches_the_numpy_legs_bitwise(benchmark_problem):
+    # Criterion 10's 1000 pairs on entry-basic and 50 pairs in the ball of
+    # each acceptance random problem: the same pieces and tau as the numpy
+    # legs.  Every duration and tau is finite and positive (or tau = 0), so
+    # == on them is equality of bits.
+    h_snap = 0.005
+    rng = np.random.default_rng(20260810 + 10)  # as tests/test_acceptance.py draws them
+    pairs = []
+    for _ in range(1000):
+        x1 = NetworkPoint(int(rng.integers(1, 3)), float(rng.uniform(0.0, 1.0)))
+        x2 = NetworkPoint(int(rng.integers(1, 3)), float(rng.uniform(0.0, 1.0)))
+        pairs.append((benchmark_problem, x1, x2))
+    pairs += _ball_pairs(50)
+    assert len(pairs) == 2000
+    for problem, x1, x2 in pairs:
+        assert connect(problem, x1, x2, h_snap) == _numpy_connect(problem, x1, x2, h_snap)
 
 
 def test_simulate_runs_to_vertex_then_switches(benchmark_problem, fine_grid, benchmark_solution):
@@ -504,14 +581,28 @@ def test_simulate_compiles_each_edge_once(monkeypatch, fine_grid):
 
 
 _FAILING_EDGES = {
-    # Each formula is finite at s = 0, where vertex_data evaluates it, and
-    # fails at s = 2 for one control: m = max(x - 1, 0) is 1 there.
-    "division by zero": ("a", "1 / (1 + a * max(x - 1, 0))"),
-    "division by zero in f": ("a / (1 + a * max(x - 1, 0))", "1"),
-    "overflow": ("a", "exp(1000 * max(x - 1, 0) * a)"),
-    "overflow to inf": ("a", "1e308 * (1 + a * max(x - 1, 0))"),
-    "domain error": ("a", "(1 + 2 * a * max(x - 1, 0)) ^ 0.5"),
+    # (f, ell, the control that fails): each formula is finite at s = 0,
+    # where vertex_data evaluates it, and fails at s = 2 for that control:
+    # m = max(x - 1, 0) is 1 there.
+    "division by zero": ("a", "1 / (1 + a * max(x - 1, 0))", -1.0),
+    "division by zero in f": ("a / (1 + a * max(x - 1, 0))", "1", -1.0),
+    "overflow": ("a", "exp(1000 * max(x - 1, 0) * a)", 1.0),
+    "overflow to inf": ("a", "1e308 * (1 + a * max(x - 1, 0))", 1.0),
+    "domain error": ("a", "(1 + 2 * a * max(x - 1, 0)) ^ 0.5", -1.0),
+    # Both fail, with different messages: the order of f and ell shows.
+    "division in f, domain error in ell": (
+        "a / (1 + a * max(x - 1, 0))", "(1 + 2 * a * max(x - 1, 0)) ^ 0.5", -1.0
+    ),
 }
+
+
+def _failing_edge_problem(name: str) -> Problem:
+    f, ell, _ = _FAILING_EDGES[name]
+    return parse_problem(
+        "lambda = 1\nregime = entry\ncosts = 1, 1\n"
+        f"[edge]\ncontrols = -1, 0, 1\nf = {f}\nell = {ell}\n"
+        "[edge]\ncontrols = -1, 0, 1\nf = a\nell = 1\n"
+    )
 
 
 @pytest.mark.parametrize("name", list(_FAILING_EDGES))
@@ -519,12 +610,7 @@ def test_simulate_raises_evaluates_error_where_the_kernel_fails(name, benchmark_
     # Where f or ell cannot be evaluated at a step, the rollout raises the
     # EvalError that evaluate raises for the first failing control, f
     # before ell, with its message.
-    f, ell = _FAILING_EDGES[name]
-    problem = parse_problem(
-        "lambda = 1\nregime = entry\ncosts = 1, 1\n"
-        f"[edge]\ncontrols = -1, 0, 1\nf = {f}\nell = {ell}\n"
-        "[edge]\ncontrols = -1, 0, 1\nf = a\nell = 1\n"
-    )
+    problem = _failing_edge_problem(name)
     spec, s = problem.edge(1), 2.0
     with pytest.raises(jh.exprlang.EvalError) as expected:
         for b in spec.controls:
@@ -543,6 +629,49 @@ def test_simulate_raises_evaluates_error_where_the_kernel_fails(name, benchmark_
         simulate(problem, NetworkPoint(1, s), field, horizon=1.0)
     assert str(raised.value) == str(expected.value)
     assert f"(at x={s!r}, a=" in str(raised.value) or "non-finite" in str(raised.value)
+
+
+@pytest.mark.parametrize("name", list(_FAILING_EDGES))
+def test_evaluate_cost_raises_evaluates_error_only_where_the_piece_fails(name):
+    # At s = 2 the edge's kernel raises or gives a value that is not finite,
+    # since one control fails there.  A replay substep then evaluates its
+    # own piece, ell before f and control before partner: a piece on the
+    # failing control raises evaluate's message, and one on a = 0 replays.
+    problem = _failing_edge_problem(name)
+    spec, s, bad = problem.edge(1), 2.0, _FAILING_EDGES[name][2]
+    start = NetworkPoint(1, s)
+    try:
+        values = spec.kernel(s)
+    except (ArithmeticError, ValueError):
+        pass
+    else:
+        assert not all(map(math.isfinite, values))
+
+    def message(*controls):
+        with pytest.raises(jh.exprlang.EvalError) as expected:
+            for b in controls:
+                jh.exprlang.evaluate(spec.running_cost, s, b)
+                jh.exprlang.evaluate(spec.velocity, s, b)
+        return str(expected.value)
+
+    with pytest.raises(jh.exprlang.EvalError) as raised:
+        evaluate_cost(problem, start, (SchedulePiece(1.0, 1, bad),))
+    assert str(raised.value) == message(bad)
+    with pytest.raises(jh.exprlang.EvalError) as raised:
+        evaluate_cost(problem, start, (SchedulePiece(1.0, 1, 0.0, 0.5, bad),))
+    assert str(raised.value) == message(0.0, bad)
+
+    # a = 0 holds at s = 2, every substep reading the kernel's failure: the
+    # cost is the left rectangle sum of evaluate's ell, bit for bit.
+    substeps, dt = 16, 1.0 / 16
+    replay = evaluate_cost(problem, start, (SchedulePiece(1.0, 1, 0.0),), substeps=substeps)
+    cost = t = 0.0
+    for _ in range(substeps):
+        assert jh.exprlang.evaluate(spec.velocity, s, 0.0) == 0.0
+        cost += math.exp(-problem.lam * t) * jh.exprlang.evaluate(spec.running_cost, s, 0.0) * dt
+        t = t + dt
+    assert (replay.positions == s).all() and replay.switches == ()
+    assert replay.cost == cost and math.isfinite(cost)
 
 
 def _exit_mirror(problem: Problem) -> Problem:

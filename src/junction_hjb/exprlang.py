@@ -31,8 +31,7 @@ raises: invalid entries come out non-finite.
 ``kernel`` compiles an edge's f and ell at all of its controls into one
 call from the same source text, so its floats are evaluate's bit for bit;
 ``EdgeSpec.kernel`` keeps one per edge, and a rollout step
-(``oracle.simulate``) calls it once instead of evaluate twice per control,
-as does a replay substep (``oracle.evaluate_cost``).
+(``oracle.simulate``) calls it once instead of evaluate twice per control.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ evidence rather than tautology.  evaluate_cost replays a schedule, a tuple
 of SchedulePieces, and integrates its discounted cost; connect constructs
 one between two points near the vertex and certifies its travel time;
 simulate rolls out the greedy feedback policy of a solved field.  Both
-read f and ell from the edge's compiled kernel and step by _Path.step,
-which also charges the edge entries and exits.
+step by _Path.step, which also charges the edge entries and exits.
 
 Switch accounting follows the cost functionals: with entry costs, a charge
 falls due each time the state moves off the vertex into an edge
@@ -197,19 +196,16 @@ def evaluate_cost(
 
     Dynamics are integrated by explicit Euler with duration/substeps per
     piece; the running cost uses the left-endpoint rectangle rule.  Every
-    substep reads its piece's f and ell at the current s from one call of
-    the edge's compiled kernel (EdgeSpec.kernel), as a rollout step does;
-    where that call raises or gives the piece a value that is not finite,
-    the substep evaluates the piece (ell before f, control before partner)
-    and raises evaluate's EvalError where one fails.  A mix weighs the two
-    by theta and 1 - theta, and a mixed |f| <= ZERO_VELOCITY_TOL is 0, as in
-    vertex_data, so a stationary mix at O stays there and charges nothing.
-    A piece naming a control outside its edge's list, or another edge while
-    the state is beyond h_snap of the vertex, is rejected, as are substeps
-    other than an int >= 1 and h_snap outside (0, inf), before any work is
-    done.  The tail bound exp(-lam*T) *
-    (sup_bound/lam + cheapest switching cost) covers the value of any
-    optimal continuation after the horizon plus one imminent switch charge.
+    substep evaluates its piece at the current s (ell before f, control
+    before partner); a mix weighs the two by theta and 1 - theta, and a
+    mixed |f| <= ZERO_VELOCITY_TOL is 0, as in vertex_data, so a stationary
+    mix at O stays there and charges nothing.  A piece naming a control
+    outside its edge's list, or another edge while the state is beyond
+    h_snap of the vertex, is rejected, as are substeps other than an
+    int >= 1 and h_snap outside (0, inf), before any work is done.  The
+    tail bound exp(-lam*T) * (sup_bound/lam + cheapest switching cost)
+    covers the value of any optimal continuation after the horizon plus
+    one imminent switch charge.
 
     Inward velocities at the vertex are projected (the state stays at 0),
     so a substep that overshoots the vertex is priced with O(dt) error;
@@ -235,23 +231,14 @@ def evaluate_cost(
         for c in (a, b):
             if c is not None and c not in spec.controls:
                 raise ValueError(f"control {c!r} is not in edge {path.edge}'s control list")
-        kernel, i = spec.kernel, 2 * spec.controls.index(a)
-        j = i if b is None else 2 * spec.controls.index(b)
         dt = piece.duration / substeps
         for _ in range(substeps):
             s = path.s
-            try:
-                values = kernel(s)
-                f, ell, f_b, ell_b = values[i], values[i + 1], values[j], values[j + 1]
-            except (ArithmeticError, ValueError):
-                f = ell = f_b = ell_b = math.nan
-            if not math.isfinite(f + ell + f_b + ell_b):  # evaluate raises where one fails
-                ell, f = evaluate(spec.running_cost, s, a), evaluate(spec.velocity, s, a)
-                if b is not None:
-                    ell_b, f_b = evaluate(spec.running_cost, s, b), evaluate(spec.velocity, s, b)
+            ell = evaluate(spec.running_cost, s, a)
+            f = evaluate(spec.velocity, s, a)
             if b is not None:
-                ell = theta * ell + (1.0 - theta) * ell_b
-                f = theta * f + (1.0 - theta) * f_b
+                ell = theta * ell + (1.0 - theta) * evaluate(spec.running_cost, s, b)
+                f = theta * f + (1.0 - theta) * evaluate(spec.velocity, s, b)
                 f = 0.0 if abs(f) <= ZERO_VELOCITY_TOL else f
             path.step(f, ell, dt)
     return path.trajectory(schedule)

@@ -13,12 +13,13 @@ another problem, and a compare --bound that is NaN or negative), 2
 validation violations on [0, l_max] or a comparison exceeding its bound, 3
 non-convergence (a stable policy above the --tol test, or the fixed bound
 on policy evaluations), 4 usage errors (an unknown command or flag, a
-missing or malformed argument).
+missing or malformed argument, such as an --x0 that is not edge,s).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import re
 import sys
@@ -64,32 +65,17 @@ def _print_report(report: solver.SolveReport):
 
 
 def cmd_validate(args) -> int:
-    problem = load_problem(args.spec)
-    report = validate(problem)
+    report = validate(load_problem(args.spec))
+    table = {"sup_bound": report.sup_bound, "f_lipschitz": report.f_lipschitz,
+             "ell_slope": report.ell_slope, "delta": report.margin}
     if args.format == "json":
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "sup_bound": report.sup_bound,
-                    "f_lipschitz": report.f_lipschitz,
-                    "ell_slope": report.ell_slope,
-                    "delta": report.margin,
-                    "violations": list(report.violations),
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({**table, "violations": list(report.violations)}, indent=2))
     else:
-        print(f"sup_bound = {report.sup_bound:.9g}")
-        print(f"f_lipschitz = {report.f_lipschitz:.9g}")
-        print(f"ell_slope = {report.ell_slope:.9g}")
-        print(f"delta = {report.margin:.9g}")
-        if report.violations:
-            for violation in report.violations:
-                print(f"violation: {violation}")
-        else:
+        for key, value in table.items():
+            print(f"{key} = {value:.9g}")
+        for violation in report.violations:
+            print(f"violation: {violation}")
+        if report.ok:
             print("no violations")
     return 0 if report.ok else 2
 
@@ -167,11 +153,19 @@ def _load_field(path: str, problem=None) -> solver.ValueField:
     return field
 
 
+def _edge_and_s(text: str) -> tuple[int, float]:
+    """--x0 as (edge, s); simulate checks their range (exit 1)."""
+    try:
+        edge, s = text.split(",")
+        return int(edge), float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected edge,s such as 1,0.5, got {text!r}") from None
+
+
 def cmd_simulate(args) -> int:
     problem = load_problem(args.spec)
     field = _load_field(args.field, problem)
-    edge_text, _, s_text = args.x0.partition(",")
-    x0 = NetworkPoint(int(edge_text), float(s_text))
+    x0 = NetworkPoint(*args.x0)
     traj = oracle_mod.simulate(problem, x0, field, horizon=args.horizon)
     if x0.s == 0.0:
         value = field.vertex_reconstruction
@@ -302,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="greedy feedback rollout of a solved field")
     p.add_argument("spec")
     p.add_argument("--field", required=True, help="field file from solve")
-    p.add_argument("--x0", required=True, help="start point as edge,s")
+    p.add_argument("--x0", required=True, type=_edge_and_s, help="start point as edge,s")
     p.add_argument("--horizon", type=float, default=20.0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_simulate)

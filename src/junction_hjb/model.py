@@ -100,6 +100,9 @@ class NetworkPoint:
     def __setattr__(self, name, value):
         raise AttributeError("NetworkPoint is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return NetworkPoint, (self.edge, self.s)
+
     def __eq__(self, other):
         if not isinstance(other, NetworkPoint):
             return NotImplemented

@@ -516,23 +516,14 @@ def simulate(
     ends at l_max, and Trajectory.left_domain records that this happened.
     The returned schedule then replays the untruncated model (in
     evaluate_cost) only up to the first clamp.  Raises ValueError when the
-    field does not have one row per edge of the problem with a value other
-    than NaN at every node of its grid (an oracle field has none at the
-    per-edge vertex limits) or states it was solved for another problem
-    (ValueField.check_problem), dt is given and is not the field's dt, the
+    field does not fit the problem (ValueField.check_problem: a row count
+    other than the problem's edges, another problem's digest, or NaN nodes,
+    as in an oracle field), dt is given and is not the field's dt, the
     horizon is negative, or x0 lies off the field's domain (an edge label
     outside 1..N or s beyond l_max).
     """
-    grid = field.grid
-    if field.values.shape != (problem.n_edges, grid.n_intervals + 1):
-        n_edges, n_nodes = field.values.shape
-        raise ValueError(
-            f"field has {n_edges} edges of {n_nodes} nodes; the problem has "
-            f"{problem.n_edges} edges and the grid {grid.n_intervals + 1} nodes"
-        )
     field.check_problem(problem)
-    if np.isnan(field.values).any():
-        raise ValueError("the field has NaN nodes (an oracle field?)")
+    grid = field.grid
     if dt is not None and dt != grid.dt:
         raise ValueError(f"dt = {dt} is not the field's dt = {grid.dt}")
     dt = grid.dt

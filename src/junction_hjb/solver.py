@@ -124,9 +124,9 @@ class GridParams:
 @dataclass
 class ValueField:
     """Node values as one (N, n+1) array: values[i] holds edge i+1's nodes,
-    values[i, 0] its limit at the vertex.  Any sequence of N equal-length
-    rows is accepted and stacked.  digest is the problem_digest of the
-    problem the field was solved for."""
+    values[i, 0] its limit at the vertex.  Any sequence of N rows of the
+    grid's n+1 nodes is accepted and stacked, other values raise ValueError.
+    digest is the problem_digest of the problem the field was solved for."""
 
     values: np.ndarray
     grid: GridParams
@@ -135,14 +135,21 @@ class ValueField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("field values must be N rows of equal length")
+        nodes = self.grid.n_intervals + 1
+        if self.values.shape[1:] != (nodes,):
+            raise ValueError(f"values of shape {self.values.shape} are not rows of {nodes} nodes")
 
     def check_problem(self, problem: Problem):
-        """Raise ValueError when the field names a digest not problem's."""
+        """Raise ValueError unless the field has one row per edge of
+        problem, names no digest or problem's, and has no NaN node (an
+        oracle field has none at the per-edge vertex limits)."""
+        if len(self.values) != problem.n_edges:
+            raise ValueError(f"the field has {len(self.values)} edges, the problem {problem.n_edges}")
         if self.digest is not None and self.digest != (digest := problem_digest(problem)):
             raise ValueError(f"the field was solved for another problem (digest "
                              f"{self.digest}, this problem's is {digest})")
+        if np.isnan(self.values).any():
+            raise ValueError("the field has NaN nodes (an oracle field?)")
 
     def sup_distance(self, other: "ValueField") -> float:
         return float(np.abs(self.values - other.values).max())
@@ -227,9 +234,11 @@ class DiscreteSystem:
         return lo, w
 
     def check_field(self, field: ValueField):
-        shape = (self.problem.n_edges, self.n_nodes)
-        if field.values.shape != shape:
-            raise ValueError(f"field shape {field.values.shape} is not the system's {shape}")
+        """Raise ValueError unless field has one row per edge and lies on the
+        system's grid, dt included, not only on as many nodes."""
+        if field.grid != self.grid or len(field.values) != self.problem.n_edges:
+            raise ValueError(f"a field of {len(field.values)} edges on {field.grid} does "
+                             f"not fit the system's {self.problem.n_edges} on {self.grid}")
 
     def default_max_iters(self, tol: float) -> int:
         """Sweeps value iteration would need from the a-priori bound; a
@@ -458,12 +467,10 @@ def _reconstruct_vertex(field: ValueField, system: DiscreteSystem) -> float:
 
 def residual(field: ValueField, system: DiscreteSystem):
     """|u - update(u)| per node, as an (N, n+1) array, and its max over all
-    nodes.  Raises ValueError for a field that states it was solved for
-    another problem than the system's, or one with NaN nodes, such as an
-    oracle field, which has no per-edge vertex limits."""
+    nodes.  Raises ValueError for a field that does not fit the system's
+    problem (ValueField.check_problem, which refuses NaN nodes, as in an
+    oracle field) or its grid, dt included (DiscreteSystem.check_field)."""
     field.check_problem(system.problem)
-    if np.isnan(field.values).any():
-        raise ValueError("the field has NaN nodes (an oracle field?)")
     updated, _ = sweep(field, system)
     per_node = np.abs(field.values - updated.values)
     return per_node, float(per_node.max())
@@ -505,7 +512,8 @@ def solve(
     The report says not converged when the last policy is stable but one
     sweep still moves the field by more than tol*(1-beta), as it does for a
     tol below float resolution, or when the requested grid reaches its
-    default_max_iters.  init only seeds the first policy.
+    default_max_iters.  init only seeds the first policy, and must lie on
+    grid (DiscreteSystem.check_field).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

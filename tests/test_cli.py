@@ -332,6 +332,7 @@ def test_simulate_steps_with_the_field_dt(tmp_path, capsys):
         ["--x0", "1,100"],
         ["--x0", "1,nan"],
         ["--x0", "1,inf"],
+        ["--x0", "1,-0.5"],
     ],
 )
 def test_simulate_rejects_inputs_that_do_not_fit_exit_1(tmp_path, capsys, flags):
@@ -343,6 +344,16 @@ def test_simulate_rejects_inputs_that_do_not_fit_exit_1(tmp_path, capsys, flags)
     assert main(args) == 1
     captured = capsys.readouterr()
     assert "error:" in captured.err and "realized_cost" not in captured.out
+
+
+@pytest.mark.parametrize("x0", ["1", "a,1", "1,2,3", ",1"])
+def test_simulate_x0_that_is_not_edge_comma_s_exit_4(tmp_path, capsys, x0):
+    # A malformed argument is a usage error, refused before any file is read;
+    # an --x0 that parses but lies off the field's domain exits 1 (above).
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", _write_spec(tmp_path), "--field", "field.csv", "--x0", x0])
+    assert exc.value.code == 4
+    assert f"argument --x0: expected edge,s such as 1,0.5, got '{x0}'" in capsys.readouterr().err
 
 
 def test_simulate_mismatched_field_exit_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import copy
 import math
 import pickle
 from pathlib import Path
@@ -108,6 +109,19 @@ def test_junction_needs_two_edges():
             "lambda = 1\nregime = entry\ncosts = 1\n"
             "[edge]\ncontrols = 0, 1\nf = a\nell = 1\n"
         )
+
+
+def test_network_point_pickles_and_copies():
+    # Restoring must go through __init__, since __setattr__ is blocked.
+    for point in (NetworkPoint(2, 0.75), NetworkPoint(3, 0.0)):
+        for back in (pickle.loads(pickle.dumps(point)), copy.copy(point), copy.deepcopy(point)):
+            assert type(back) is NetworkPoint and (back.edge, back.s) == (point.edge, point.s)
+            assert back == point and hash(back) == hash(point)
+            with pytest.raises(AttributeError, match="immutable"):
+                back.s = 1.0
+    # A copied vertex point is still every s = 0 point.
+    vertex = copy.deepcopy(NetworkPoint(3, 0.0))
+    assert vertex == NetworkPoint(1, 0.0) and hash(vertex) == hash(NetworkPoint(1, 0.0))
 
 
 def test_vertex_identification():

@@ -539,6 +539,45 @@ def test_value_field_rows_must_have_equal_length(fine_grid):
     assert field.values.shape == (2, 401)
 
 
+def test_value_field_refuses_values_off_its_grid():
+    # The field files and every reader index a row by the grid's nodes.
+    grid = GridParams(h=0.02, l_max=4.0, dt=0.02)
+    for values in (np.zeros((2, 401)), np.zeros((2, 200)), np.zeros(201), np.zeros((2, 201, 1))):
+        with pytest.raises(ValueError, match="nodes"):
+            ValueField(values, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(10, 60),
+    h=st.floats(0.005, 0.1),
+    dt_ratio=st.floats(0.25, 1.0),
+    changed=st.sampled_from(["h", "dt"]),
+    factor=st.floats(0.5, 2.0),
+)
+@example(n=400, h=0.01, dt_ratio=1.0, changed="dt", factor=2.0)
+def test_a_field_on_another_grid_of_as_many_nodes_is_refused(
+    benchmark_problem, n, h, dt_ratio, changed, factor
+):
+    # Both grids are admissible for entry-basic (dt * sup <= 2h <= l_max/4),
+    # so only the fit check can refuse the field.  Without it, the example's
+    # field, solved at h = dt = 0.01, has residual 0.00507 read at dt = 0.02,
+    # a number of neither grid.
+    grid = GridParams(h=h, l_max=n * h, dt=dt_ratio * h)
+    if changed == "h":
+        other = GridParams(h=h * factor, l_max=n * h * factor, dt=grid.dt)
+    else:
+        other = replace(grid, dt=grid.dt * factor)
+    assume(other != grid and other.n_intervals == n)
+    field, _ = solve(benchmark_problem, grid)
+    system = build_system(benchmark_problem, other)
+    for call in (residual, sweep, policy):
+        with pytest.raises(ValueError, match="does not fit"):
+            call(field, system)
+    with pytest.raises(ValueError, match="does not fit"):
+        solve(benchmark_problem, other, init=field)
+
+
 # The per-edge operator that the stacked arrays replaced, kept as a
 # reference: per-edge feet, weights and stage costs, and per edge a list of
 # vertex branches (switch to each other edge j, park, continue into the own

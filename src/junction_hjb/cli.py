@@ -253,11 +253,12 @@ def cmd_example(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 4, not argparse's 2; subcommand parsers share the
     class.  A negative number in exponent form, such as -1e-9, is a value,
-    not a flag, as -0.5 is."""
+    not a flag, as -0.5 is, and so is one with a ,... tail, such as the
+    --x0 -1,0.5 that simulate refuses as off the field's domain."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?(,.*)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -519,16 +519,17 @@ def simulate(
     field does not fit the problem (ValueField.check_problem: a row count
     other than the problem's edges, another problem's digest, or NaN nodes,
     as in an oracle field), dt is given and is not the field's dt, the
-    horizon is negative, or x0 lies off the field's domain (an edge label
-    outside 1..N or s beyond l_max).
+    horizon is negative or so long that exp(-lam * horizon) underflows to
+    0 (no cost accrues past it), or x0 lies off the field's domain (an
+    edge label outside 1..N or s beyond l_max).
     """
     field.check_problem(problem)
     grid = field.grid
     if dt is not None and dt != grid.dt:
         raise ValueError(f"dt = {dt} is not the field's dt = {grid.dt}")
     dt = grid.dt
-    if not 0.0 <= horizon < math.inf:
-        raise ValueError(f"need a finite horizon >= 0, got {horizon}")
+    if not 0.0 <= horizon < math.inf or math.exp(-problem.lam * horizon) == 0.0:
+        raise ValueError(f"need a horizon >= 0 at which exp(-lam * horizon) > 0, got {horizon}")
     if x0.edge not in problem.junction.edge_labels or x0.s > grid.l_max:
         raise ValueError(
             f"x0 ({x0.edge}, {x0.s:.6g}) is off the field's domain: edges "

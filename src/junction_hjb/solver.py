@@ -46,8 +46,9 @@ The update is a min over a finite set of actions (a control per node, a
 branch per vertex limit) of affine beta-contractions, so solve() reaches
 its fixed point by Howard's policy iteration in finitely many steps:
 evaluate the current policy exactly by solving the linear system
-u = c + beta * P u, then switch every node to its greedy action
-(policy()).  On each edge the policy's rows form a strictly diagonally
+u = c + beta * P u, then switch every node to its greedy action: one
+pass over the candidates gives the argmin (policy()) and the min
+(sweep()).  On each edge the policy's rows form a strictly diagonally
 dominant banded system (a foot lies within dt*sup/h + 1 nodes), written
 as a block tridiagonal one with the vertex limit as a second right-hand
 side and solved for all edges at once by block cyclic reduction, whose
@@ -275,17 +276,9 @@ def _candidates(field: ValueField, system: DiscreteSystem):
 
 
 def sweep(field: ValueField, system: DiscreteSystem) -> tuple[ValueField, float]:
-    """One synchronous update of all nodes; returns the new field and the
-    sup-norm change."""
-    return _minimize(field, system, *_candidates(field, system))
-
-
-def _minimize(field, system, interior, vertex) -> tuple[ValueField, float]:
-    """sweep() from the candidates of field."""
-    new = interior[..., 0].copy()
-    for j in range(1, interior.shape[-1]):  # numpy's min over the short last axis is slower
-        np.minimum(new, interior[..., j], out=new)
-    new[:, 0] = vertex.min(axis=-1)
+    """One synchronous update of all nodes: the min that policy() takes the
+    argmin of.  Returns the new field and the sup-norm change."""
+    _, new = _greedy(*_candidates(field, system), None)
     return ValueField(new, system.grid), float(np.abs(new - field.values).max())
 
 
@@ -304,16 +297,16 @@ class Policy:
         )
 
 
-def _argmin(candidates: np.ndarray, current: np.ndarray | None) -> np.ndarray:
-    """Argmin over the last axis, ties toward the lowest index; where
-    current is given, its action is kept unless another is strictly
-    better."""
+def _argmin(candidates: np.ndarray, current: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Argmin over the last axis, ties toward the lowest index, and the min
+    it picks, NaN where a NaN candidate is; where current is given, its
+    action is kept unless another is strictly better."""
     best = candidates.argmin(axis=-1)
-    if current is None:
-        return best
     flat = candidates.ravel()  # gathers from the flat array beat 2-d fancy indexing
     row = np.arange(0, flat.size, candidates.shape[-1]).reshape(best.shape)
-    return np.where(flat[row + current] <= flat[row + best], current, best)
+    if current is not None:
+        best = np.where(flat[row + current] <= flat[row + best], current, best)
+    return best, flat[row + best]
 
 
 def policy(
@@ -322,14 +315,16 @@ def policy(
     """Greedy policy of a field: the argmin of the candidates whose min is
     sweep().  With current given, its actions are kept where no other
     action is strictly better."""
-    return _greedy(*_candidates(field, system), current)
+    return _greedy(*_candidates(field, system), current)[0]
 
 
-def _greedy(interior, vertex, current: Policy | None) -> Policy:
-    """policy() from the candidates of a field."""
-    if current is None:
-        return Policy(_argmin(interior, None), _argmin(vertex, None))
-    return Policy(_argmin(interior, current.controls), _argmin(vertex, current.vertex))
+def _greedy(interior, vertex, current: Policy | None) -> tuple[Policy, np.ndarray]:
+    """The greedy Policy of a field's candidates and the updated field
+    values it picks, an (N, n+1) array whose column 0 holds the vertex
+    limits' mins."""
+    controls, values = _argmin(interior, current and current.controls)
+    branches, values[:, 0] = _argmin(vertex, current and current.vertex)
+    return Policy(controls, branches), values
 
 
 # Cyclic reduction ends in one dense solve at this many unknowns.  On a 2-core
@@ -547,12 +542,9 @@ def solve(
         current = policy(field, level)
         for count in range(1, level.default_max_iters(tol) + 1):
             field = _evaluate(current, level)
-            candidates = _candidates(field, level)
-            _, change = _minimize(field, level, *candidates)
-            if change <= tol * (1.0 - level.beta):
-                break
-            improved = _greedy(*candidates, current)
-            if improved.same_as(current):
+            improved, values = _greedy(*_candidates(field, level), current)
+            change = float(np.abs(values - field.values).max())
+            if change <= tol * (1.0 - level.beta) or improved.same_as(current):
                 break
             current = improved
         counts.append(count)

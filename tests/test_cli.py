@@ -327,12 +327,14 @@ def test_simulate_steps_with_the_field_dt(tmp_path, capsys):
     "flags",
     [
         ["--horizon", "-1"],
+        ["--horizon", "1e9"],
         ["--x0", "5,0.003"],
         ["--x0", "0,0.5"],
         ["--x0", "1,100"],
         ["--x0", "1,nan"],
         ["--x0", "1,inf"],
         ["--x0", "1,-0.5"],
+        ["--x0", "-1,0.5"],
     ],
 )
 def test_simulate_rejects_inputs_that_do_not_fit_exit_1(tmp_path, capsys, flags):
@@ -346,7 +348,7 @@ def test_simulate_rejects_inputs_that_do_not_fit_exit_1(tmp_path, capsys, flags)
     assert "error:" in captured.err and "realized_cost" not in captured.out
 
 
-@pytest.mark.parametrize("x0", ["1", "a,1", "1,2,3", ",1"])
+@pytest.mark.parametrize("x0", ["1", "a,1", "1,2,3", ",1", "-1", "-1e-3,2"])
 def test_simulate_x0_that_is_not_edge_comma_s_exit_4(tmp_path, capsys, x0):
     # A malformed argument is a usage error, refused before any file is read;
     # an --x0 that parses but lies off the field's domain exits 1 (above).

@@ -475,6 +475,24 @@ def test_simulate_and_residual_refuse_a_field_of_another_problem(benchmark_solut
     assert math.isfinite(jh.residual(anonymous, system)[1])
 
 
+@pytest.mark.parametrize("horizon", [746.0, 1e9])
+def test_simulate_refuses_a_horizon_past_the_discount_underflow(
+    monkeypatch, benchmark_problem, benchmark_solution, horizon
+):
+    # At lam = 1, exp(-lam * horizon) is 0.0 from horizon 746 on, so no cost
+    # accrues past it; 1e9 at dt = 0.01 would take 10^11 steps.  The refusal
+    # comes before any step: a rollout that started would fail here at once.
+    field, _ = benchmark_solution
+    assert math.exp(-745.0) > 0.0 == math.exp(-746.0)
+
+    def no_rollout(*args):
+        raise AssertionError("simulate started stepping")
+
+    monkeypatch.setattr(oracle, "_Path", no_rollout)
+    with pytest.raises(ValueError, match="exp"):
+        simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=horizon)
+
+
 def test_simulate_steps_only_with_the_field_dt(benchmark_problem, benchmark_solution):
     # A rollout at another dt than the field was solved for realizes
     # another value (entry-basic solved at dt = 0.02 and rolled out at

@@ -642,21 +642,23 @@ def _reference_argmin(candidates, current):
 @given(
     shape=st.lists(st.integers(1, 5), min_size=2, max_size=3).map(tuple),
     seed=st.integers(0, 2**32 - 1),
-    levels=st.integers(1, 3),
+    levels=st.integers(1, 4),
     with_current=st.booleans(),
 )
 def test_argmin_matches_numpy_argmin(shape, seed, levels, with_current):
-    # Candidates drawn from a few levels tie exactly and often, inf included:
-    # the lowest index wins, and a current action is kept unless another is
-    # strictly better.
+    # Candidates drawn from a few levels tie exactly and often, inf and NaN
+    # included: the lowest index wins, a current action is kept unless
+    # another is strictly better, and the min picked is numpy's, NaN where
+    # a NaN candidate is.
     rng = np.random.default_rng(seed)
-    candidates = np.array([-1.5, 0.0, np.inf])[rng.integers(0, levels, shape)]
+    candidates = np.array([-1.5, 0.0, np.inf, np.nan])[rng.integers(0, levels, shape)]
     if seed % 2:  # a layout other than C order
         candidates = np.asfortranarray(candidates)
     current = rng.integers(0, shape[-1], shape[:-1]) if with_current else None
-    got = _argmin(candidates, current)
-    assert got.dtype == candidates.argmin(axis=-1).dtype
-    assert np.array_equal(got, _reference_argmin(candidates, current))
+    best, low = _argmin(candidates, current)
+    assert best.dtype == candidates.argmin(axis=-1).dtype
+    assert np.array_equal(best, _reference_argmin(candidates, current))
+    assert np.array_equal(low, candidates.min(axis=-1), equal_nan=True)
 
 
 @st.composite
@@ -727,6 +729,12 @@ def test_stacked_update_matches_per_edge_reference(problem, seed, dt_ratio, ties
         controls = _reference_argmin(interiors[e], current.controls[e])
         assert np.array_equal(kept.controls[e], controls)
         assert kept.vertex[e] == _reference_argmin(vertex[e], current.vertex[e])
+
+    # sweep's min is the reference candidates read at policy's argmin.
+    greedy = policy(field, system)
+    picked = np.array([c[np.arange(len(c)), a] for c, a in zip(interiors, greedy.controls)])
+    picked[:, 0] = [c[a] for c, a in zip(vertex, greedy.vertex)]
+    assert np.array_equal(new.values, picked)
 
 
 def test_nonconvergence_reported_not_raised(benchmark_problem, fine_grid):

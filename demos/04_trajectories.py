@@ -32,7 +32,7 @@ print(f"   horizon-truncation bound: {traj.tail_bound:.2e}")
 print()
 
 print("2. Greedy rollout of the solved field from (1, 1.0):")
-rollout = jh.simulate(problem, jh.NetworkPoint(1, 1.0), field, horizon=20.0, dt=0.01)
+rollout = jh.simulate(problem, jh.NetworkPoint(1, 1.0), field, horizon=20.0)
 closed = 1 - 0.5 * math.exp(-1)
 print(f"   realized cost {rollout.cost:.4f} vs value {closed:.4f}")
 print(f"   switches: {[(ev.kind, ev.edge, round(ev.time, 2)) for ev in rollout.switches]}")

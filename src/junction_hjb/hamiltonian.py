@@ -1,4 +1,4 @@
-"""The relaxed control set at the vertex, built from sampled controls.
+"""The step rule (time_step) and the relaxed control set at the vertex.
 
 At the vertex O each edge offers a list of actions, the controls that do
 not point into O, each with its velocity v >= 0 and its cost:
@@ -25,13 +25,14 @@ reads the former and the rollout's vertex choice the latter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import exprlang
 from .model import Problem
 
 __all__ = ["ZERO_VELOCITY_TOL", "VertexAction", "VertexBranch", "VertexData",
-           "NoStationaryControlError", "vertex_data"]
+           "NoStationaryControlError", "vertex_data", "time_step"]
 
 # Sampled controls count as stationary when |f(O, a)| is below this; the
 # interpolated pair points are exactly stationary by construction.
@@ -138,3 +139,10 @@ def vertex_data(problem: Problem) -> VertexData:
              for b in along("switch", j, costs[j - 1] if entry else 0.0, moving=True)]
     park = VertexBranch("park", *held, stall)
     return VertexData(edges, -cheapest, tuple(limits), (*moves, park))
+
+
+def time_step(lam: float, dt: float) -> tuple[float, float]:
+    """The step rule of the scheme, the rollout and the replay: a step of dt
+    from s at velocity f ends at s + dt*f, charges weight*ell and discounts
+    what follows by beta.  Returns (weight, beta) = (dt, exp(-lam*dt))."""
+    return dt, math.exp(-lam * dt)

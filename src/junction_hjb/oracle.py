@@ -1,17 +1,17 @@
 """Independent cross-checks: trajectory costs, a brute-force MDP, reachability.
 
-Nothing here shares discretization or solution machinery with the solver;
-from solver it takes only the GridParams and ValueField containers.  The
-MDP in oracle_solve snaps Euler steps to the nearest grid node instead of
-interpolating and charges switching costs on the transitions that realize
-them.  It is solved by its own policy iteration, which evaluates a policy
-by summing discounted costs along its paths (pointer doubling) rather than
-by the solver's banded linear solves, so agreement between the two is
-evidence rather than tautology.  evaluate_cost replays a schedule, a tuple
-of SchedulePieces, and integrates its discounted cost; connect constructs
-one between two points near the vertex and certifies its travel time;
-simulate rolls out the greedy feedback policy of a solved field.  Both
-step by _Path.step, which also charges the edge entries and exits.
+Nothing here shares solution machinery with the solver; from solver it takes
+only the GridParams and ValueField containers.  The MDP in oracle_solve
+snaps Euler steps to the nearest grid node instead of interpolating and
+charges switching costs on the transitions that realize them.  It is solved
+by its own policy iteration, which evaluates a policy by summing discounted
+costs along its paths (pointer doubling) rather than by the solver's banded
+linear solves, so agreement between the two is evidence rather than
+tautology.  evaluate_cost replays a schedule, a tuple of SchedulePieces, and
+integrates its discounted cost; connect constructs one between two points
+near the vertex and certifies its travel time; simulate rolls out the greedy
+feedback policy of a solved field.  Both step by _Path.step at the scheme's
+rule, hamiltonian.time_step; it also charges the edge entries and exits.
 
 Switch accounting follows the cost functionals: with entry costs, a charge
 falls due each time the state moves off the vertex into an edge
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .hamiltonian import ZERO_VELOCITY_TOL, vertex_data
+from .hamiltonian import ZERO_VELOCITY_TOL, time_step, vertex_data
 from .model import NetworkPoint, Problem, _sample_edges, validate
 from .solver import GridParams, ValueField
 
@@ -136,13 +136,13 @@ class _Path:
                 self.cost += self._charge("exit", self.t)
             self.s = 0.0
 
-    def step(self, f: float, ell: float, dt: float):
-        """One explicit Euler step of velocity f on the current edge, with
-        the running cost ell by the left-endpoint rule and the switch charges
-        that fall due: entry on leaving the vertex, exit on reaching it from
-        inside."""
+    def step(self, f: float, ell: float, dt: float, weight: float):
+        """One step of dt at velocity f on the current edge, charging the
+        running cost ell at weight, the caller's hamiltonian.time_step weight
+        for dt, and the switch charges that fall due: entry on leaving the
+        vertex, exit on reaching it from inside."""
         s, t = self.s, self.t
-        self.cost += math.exp(-self.problem.lam * t) * ell * dt
+        self.cost += math.exp(-self.problem.lam * t) * ell * weight
         s_new = s + dt * f
         self.t = t = t + dt
         if s_new <= 0.0:
@@ -194,17 +194,16 @@ def evaluate_cost(
 ) -> Trajectory:
     """Integrate the discounted cost of an explicit control schedule.
 
-    Dynamics are integrated by explicit Euler with duration/substeps per
-    piece; the running cost uses the left-endpoint rectangle rule.  Every
-    substep evaluates its piece at the current s (ell before f, control
-    before partner); a mix weighs the two by theta and 1 - theta, and a
-    mixed |f| <= ZERO_VELOCITY_TOL is 0, as in vertex_data, so a stationary
-    mix at O stays there and charges nothing.  A piece naming a control
-    outside its edge's list, or another edge while the state is beyond
-    h_snap of the vertex, is rejected, as are substeps other than an
-    int >= 1 and h_snap outside (0, inf), before any work is done.  The
-    tail bound exp(-lam*T) * (sup_bound/lam + cheapest switching cost)
-    covers the value of any optimal continuation after the horizon plus
+    Each piece takes substeps steps of duration/substeps by _Path.step, at
+    the weight of hamiltonian.time_step.  Every substep evaluates its piece
+    at the current s (ell before f, control before partner); a mix weighs the
+    two by theta and 1 - theta, and a mixed |f| <= ZERO_VELOCITY_TOL is 0, as
+    in vertex_data, so a stationary mix at O stays there and charges nothing.
+    A piece naming a control outside its edge's list, or another edge while
+    the state is beyond h_snap of the vertex, is rejected, as are substeps
+    other than an int >= 1 and h_snap outside (0, inf), before any work is
+    done.  The tail bound exp(-lam*T) * (sup_bound/lam + cheapest switching
+    cost) covers the value of any optimal continuation after the horizon plus
     one imminent switch charge.
 
     Inward velocities at the vertex are projected (the state stays at 0),
@@ -232,6 +231,7 @@ def evaluate_cost(
             if c is not None and c not in spec.controls:
                 raise ValueError(f"control {c!r} is not in edge {path.edge}'s control list")
         dt = piece.duration / substeps
+        weight, _ = time_step(problem.lam, dt)
         for _ in range(substeps):
             s = path.s
             ell = evaluate(spec.running_cost, s, a)
@@ -240,7 +240,7 @@ def evaluate_cost(
                 ell = theta * ell + (1.0 - theta) * evaluate(spec.running_cost, s, b)
                 f = theta * f + (1.0 - theta) * evaluate(spec.velocity, s, b)
                 f = 0.0 if abs(f) <= ZERO_VELOCITY_TOL else f
-            path.step(f, ell, dt)
+            path.step(f, ell, dt, weight)
     return path.trajectory(schedule)
 
 
@@ -493,23 +493,23 @@ def simulate(
 ) -> Trajectory:
     """Roll out the greedy one-step policy of a converged field.
 
-    The rollout steps with the dt the field was solved for, field.grid.dt.
-    At interior points the control is the first that minimizes the one-step
-    Bellman right-hand side dt*ell + beta*u(s + dt*f): the field is read
-    once per rollout as Python floats and interpolated linearly at the foot
-    clipped into [0, l_max], as the scheme's feet are.  f and ell of every
-    control come from one call of the edge's compiled kernel
-    (EdgeSpec.kernel, built once per edge); where that call raises or gives
-    a value that is not finite, the step evaluates control by control, f
-    before ell, and raises evaluate's EvalError.  Within h/2 of the
-    vertex (h the field's grid step) the state snaps onto O and takes the
-    first cheapest branch of vertex_data's v(O) list, chosen once: a move
-    into an edge, the current one included, priced at its charge plus the
-    step's cost and the discounted field value after it; or parking
-    forever, priced at its charge and recorded as one schedule piece (a
-    sampled control, or a pair and theta as one relaxed piece), which
-    evaluate_cost replays.  Every step hands the chosen control's (f, ell)
-    or the vertex action's (velocity, cost) to _Path.step, as replays do.
+    The rollout steps with the dt the field was solved for, field.grid.dt, by
+    the rule of hamiltonian.time_step.  At interior points the control is the
+    first that minimizes the Bellman right-hand side
+    weight*ell + beta*u(s + dt*f): the field is read once per rollout as
+    Python floats and interpolated linearly at the foot clipped into
+    [0, l_max], as the scheme's feet are.  f and ell of every control come
+    from one call of the edge's compiled kernel (EdgeSpec.kernel, built once
+    per edge); where that call raises or gives a value that is not finite, the
+    step evaluates control by control, f before ell, and raises evaluate's
+    EvalError.  Within h/2 of the vertex (h the field's grid step) the state
+    snaps onto O and takes the first cheapest branch of vertex_data's v(O)
+    list, chosen once: a move into an edge, the current one included, priced
+    at its charge plus the step's cost and the discounted field value after
+    it; or parking forever, priced at its charge and recorded as one schedule
+    piece (a sampled control, or a pair and theta as one relaxed piece), which
+    evaluate_cost replays.  Every step hands the chosen control's (f, ell) or
+    the vertex action's (velocity, cost) to _Path.step, as replays do.
 
     The rollout simulates the truncated model the field was solved for:
     like the scheme's feet, an Euler step that would pass the field's l_max
@@ -536,7 +536,7 @@ def simulate(
             f"1..{problem.n_edges}, s <= l_max = {grid.l_max:.6g}"
         )
     lam = problem.lam
-    beta = math.exp(-lam * dt)
+    weight, beta = time_step(lam, dt)
     vdata = vertex_data(problem)
     path = _Path(problem, x0, grid.l_max)
     runs: list[list] = []  # [(edge, control, theta[, partner]), duration]
@@ -556,8 +556,8 @@ def simulate(
         if branch.kind == "park":
             return branch.charge
         act = vdata.edge(branch.edge)[branch.action]
-        return (branch.charge + dt * act.cost
-                + beta * _interp(values[branch.edge - 1], h, l_max, dt * act.velocity))
+        u = values[branch.edge - 1]
+        return branch.charge + (weight * act.cost + beta * _interp(u, h, l_max, dt * act.velocity))
 
     # The branches do not depend on the state, so the first cheapest is the
     # vertex choice of every step: a move's control, or a park's pair.
@@ -602,13 +602,13 @@ def simulate(
                          for tree in (spec.velocity, spec.running_cost)]
             best, pair = None, iter(pairs)
             for b, f, ell in zip(spec.controls, pair, pair):
-                value = dt * ell + beta * _interp(u, h, l_max, s + dt * f)
+                value = weight * ell + beta * _interp(u, h, l_max, s + dt * f)
                 if best is None or value < best:
                     best, a, move = value, b, (f, ell)
 
         path.edge = edge
         record(dt, edge, a, 1.0)
-        path.step(*move, dt)
+        path.step(*move, dt, weight)
 
     return path.trajectory(tuple(SchedulePiece(duration, *key) for key, duration in runs))
 

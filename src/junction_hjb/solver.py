@@ -10,15 +10,16 @@ vertex; the value AT the vertex itself is reconstructed after convergence
 The scheme is the fixed point of the synchronous update (sweep)
 
     interior s:  u_i(s) <- min over controls a of
-                 dt*ell_i(s,a) + exp(-lam*dt) * Interp(u_i, s + dt*f_i(s,a))
+                 weight*ell_i(s,a) + beta * Interp(u_i, s + dt*f_i(s,a))
 
-with feet clipped to [0, l_max] (clipping at the far end acts as constant
-extrapolation of the value beyond the truncation, which keeps the
-truncation error O(|u'(l_max)|/lam) instead of polluting the whole edge
-with an artificial state constraint).  At the vertex, with
+with (weight, beta) = hamiltonian.time_step(lam, dt), the step rule of the
+rollout and the replay too, and feet clipped to [0, l_max] (clipping at the
+far end acts as constant extrapolation of the value beyond the truncation,
+which keeps the truncation error O(|u'(l_max)|/lam) instead of polluting
+the whole edge with an artificial state constraint).  At the vertex, with
 
     B3_j = min over the vertex actions (v >= 0, ell) of edge j of
-           dt*ell + exp(-lam*dt) * Interp(u_j, dt*v)
+           weight*ell + beta * Interp(u_j, dt*v)
 
 the update takes the cheapest of: parking at the vertex forever, moving
 into the own edge, or switching to another edge and immediately moving
@@ -27,14 +28,13 @@ there:
     entry costs:  u_i(0) <- min( stall,  B3_i,  min_{j != i} c_j + B3_j )
     exit costs:   u_i(0) <- min( d_i + stall,  B3_i,  min_{j != i} d_i + B3_j )
 
-where stall = -H_tangential/lam.  Every branch is either constant or
-passes through exp(-lam*dt) times a convex combination of old values, so a
-sweep contracts the sup norm by beta = exp(-lam*dt) and is monotone; the
-fixed point is unique.  Zero switching costs need no special casing: with
-c_j = 0 the switch branch makes the vertex limits of all zero-cost edges
-agree, which is the continuous shared component of the mixed regime, and
-with all costs zero the update collapses to the classical junction
-condition min(stall, min_j B3_j).
+where stall = -H_tangential/lam.  Every branch is either constant or passes
+through beta times a convex combination of old values, so a sweep contracts
+the sup norm by beta and is monotone; the fixed point is unique.  Zero
+switching costs need no special casing: with c_j = 0 the switch branch makes
+the vertex limits of all zero-cost edges agree, which is the continuous
+shared component of the mixed regime, and with all costs zero the update
+collapses to the classical junction condition min(stall, min_j B3_j).
 
 A field is one (N, n+1) array, row i for edge i+1.  The system stacks its
 data alike: the interior data as (N, n+1, K) arrays over K controls (short
@@ -73,7 +73,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import VertexData, vertex_data
+from .hamiltonian import VertexData, time_step, vertex_data
 from .model import EdgeSamples, Problem, _sample_edges, format_problem
 
 __all__ = [
@@ -192,7 +192,7 @@ class DiscreteSystem:
 
     def _set_grid(self, grid: GridParams, samples: EdgeSamples):
         self.grid = grid
-        self.beta = math.exp(-self.problem.lam * grid.dt)
+        weight, self.beta = time_step(self.problem.lam, grid.dt)
         self.n_nodes = grid.n_intervals + 1
         self.samples = samples
         sup = samples.sup()
@@ -204,14 +204,14 @@ class DiscreteSystem:
         # Interior data as (N, n+1, K) arrays, one column per control.
         s = grid.nodes
         self.interior_lo, self.interior_w = self._foot_weights(s[:, None] + grid.dt * samples.f)
-        self.interior_stage = grid.dt * samples.ell
+        self.interior_stage = weight * samples.ell
         # The same lower nodes as indices into field.values.ravel().
         offsets = self.n_nodes * np.arange(self.problem.n_edges)
         self.interior_at = self.interior_lo + offsets[:, None, None]
         # Each branch's one step from the vertex, alike.
         lo, self.branch_w = self._foot_weights(grid.dt * self.branch_v)
         self.branch_at = lo + offsets[self.branch_edge]
-        self.branch_stage = grid.dt * self.branch_ell
+        self.branch_stage = weight * self.branch_ell
 
     # Per-edge views, unused here; kept, as workers is, because
     # perfbench/run.py --trace 1 concatenates them to count sweep bytes.

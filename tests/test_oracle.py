@@ -24,7 +24,7 @@ from junction_hjb.oracle import (
     switches_to_csv,
     trajectory_to_csv,
 )
-from junction_hjb.solver import GridParams
+from junction_hjb.solver import GridParams, _candidates, build_system, policy
 
 
 def test_evaluate_cost_closed_form_value(benchmark_problem):
@@ -350,7 +350,7 @@ def test_connect_matches_the_numpy_legs_bitwise(benchmark_problem):
 
 def test_simulate_runs_to_vertex_then_switches(benchmark_problem, fine_grid, benchmark_solution):
     field, _ = benchmark_solution
-    traj = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=20.0, dt=0.01)
+    traj = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=20.0)
     closed = 1 - 0.5 * math.exp(-1.0)
     assert traj.cost == pytest.approx(closed, abs=0.05)
     entries = [ev for ev in traj.switches if ev.kind == "entry"]
@@ -361,7 +361,7 @@ def test_simulate_runs_to_vertex_then_switches(benchmark_problem, fine_grid, ben
 def test_simulate_stalls_when_switching_is_expensive(fine_grid):
     p = jh.builtin_problem("entry-expensive")
     field, _ = jh.solve(p, fine_grid)
-    traj = simulate(p, NetworkPoint(1, 1.0), field, horizon=20.0, dt=0.01)
+    traj = simulate(p, NetworkPoint(1, 1.0), field, horizon=20.0)
     assert traj.cost == pytest.approx(1.0, abs=0.05)
     assert [ev for ev in traj.switches if ev.kind == "entry"] == []
 
@@ -374,13 +374,13 @@ def test_simulate_zero_cost_zero_realized():
     )
     grid = GridParams(h=0.05, l_max=2.0, dt=0.05)
     field, _ = jh.solve(p, grid)
-    traj = simulate(p, NetworkPoint(1, 1.0), field, horizon=10.0, dt=0.05)
+    traj = simulate(p, NetworkPoint(1, 1.0), field, horizon=10.0)
     assert abs(traj.cost) <= 1e-6
 
 
 def test_simulate_cost_consistency(benchmark_problem, fine_grid, benchmark_solution):
     field, _ = benchmark_solution
-    traj = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=20.0, dt=0.01)
+    traj = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=20.0)
     replay = evaluate_cost(
         benchmark_problem, NetworkPoint(1, 1.0), traj.schedule, substeps=4000
     )
@@ -399,7 +399,7 @@ def test_simulate_stall_schedule_replays(fine_grid):
     )
     for p, x0, substeps in cases:
         field, _ = jh.solve(p, fine_grid)
-        traj = simulate(p, x0, field, horizon=20.0, dt=0.01)
+        traj = simulate(p, x0, field, horizon=20.0)
         assert len(traj.schedule) <= 2
         replay = evaluate_cost(p, x0, traj.schedule, substeps=substeps)
         assert replay.cost == pytest.approx(traj.cost, abs=0.02)
@@ -408,7 +408,7 @@ def test_simulate_stall_schedule_replays(fine_grid):
 def test_simulate_exit_regime(fine_grid):
     p = jh.builtin_problem("exit-basic")  # d = (0, 0.5)
     field, _ = jh.solve(p, fine_grid)
-    traj = simulate(p, NetworkPoint(1, 1.0), field, horizon=20.0, dt=0.01)
+    traj = simulate(p, NetworkPoint(1, 1.0), field, horizon=20.0)
     # Run to the vertex, leave edge 1 for free, ride edge 2 at zero cost.
     assert traj.cost == pytest.approx(1 - math.exp(-1.0), abs=0.05)
     exits = [ev for ev in traj.switches if ev.kind == "exit"]
@@ -423,7 +423,7 @@ def test_simulate_exit_regime_positive_cost_charged_once(fine_grid):
         "[edge]\ncontrols = -1, 0, 1\nf = a\nell = 1 - a\n"
     )
     field, _ = jh.solve(p, fine_grid)
-    traj = simulate(p, NetworkPoint(1, 1.0), field, horizon=20.0, dt=0.01)
+    traj = simulate(p, NetworkPoint(1, 1.0), field, horizon=20.0)
     expected = (1 - math.exp(-1.0)) + 0.3 * math.exp(-1.0)
     assert traj.cost == pytest.approx(expected, abs=0.05)
     exits = [ev for ev in traj.switches if ev.kind == "exit"]
@@ -441,7 +441,7 @@ def test_simulate_does_not_hold_at_vertex_on_inward_controls(fine_grid):
         "[edge]\ncontrols = -1, 0, 1\nf = a\nell = 2\n"
     )
     field, _ = jh.solve(p, fine_grid)
-    traj = simulate(p, NetworkPoint(1, 0.0), field, horizon=20.0, dt=0.01)
+    traj = simulate(p, NetworkPoint(1, 0.0), field, horizon=20.0)
     assert traj.cost == pytest.approx(1.0, abs=0.05)
 
 
@@ -452,7 +452,7 @@ def test_simulate_rejects_mismatched_field(benchmark_solution):
         + "[edge]\ncontrols = -1, 0, 1\nf = a\nell = 1\n" * 3
     )
     with pytest.raises(ValueError, match="edges"):
-        simulate(three_edges, NetworkPoint(3, 0.5), field, horizon=1.0, dt=0.01)
+        simulate(three_edges, NetworkPoint(3, 0.5), field, horizon=1.0)
     # A field one node short of its grid cannot be built, so no rollout reads it.
     with pytest.raises(ValueError, match="nodes"):
         jh.ValueField(tuple(u[:-1] for u in field.values), field.grid)
@@ -513,9 +513,9 @@ def test_simulate_flags_leaving_the_domain(benchmark_problem, fine_grid, benchma
     l_max = fine_grid.l_max
     # Down edge 1 to the vertex, then up edge 2 at unit speed: held at
     # s = l_max from t = 5 on.
-    far = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=20.0, dt=0.01)
+    far = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=20.0)
     assert far.positions.max() == l_max and far.left_domain
-    near = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=2.0, dt=0.01)
+    near = simulate(benchmark_problem, NetworkPoint(1, 1.0), field, horizon=2.0)
     assert near.positions.max() <= l_max and not near.left_domain
 
     # The acceptance seed's random problem 0: on edge 3 the greedy policy
@@ -526,13 +526,13 @@ def test_simulate_flags_leaving_the_domain(benchmark_problem, fine_grid, benchma
 
     problem = make_random_problem(np.random.default_rng(20260810))
     field, _ = jh.solve(problem, fine_grid)
-    traj = simulate(problem, NetworkPoint(3, 1.0), field, horizon=25.0, dt=0.01)
+    traj = simulate(problem, NetworkPoint(3, 1.0), field, horizon=25.0)
     assert traj.left_domain and traj.positions.max() <= l_max
     value = float(np.interp(1.0, fine_grid.nodes, field.values[2]))
     assert abs(traj.cost - value) <= fine_grid.h
-    traj = simulate(problem, NetworkPoint(3, 0.0), field, horizon=25.0, dt=0.01)
+    traj = simulate(problem, NetworkPoint(3, 0.0), field, horizon=25.0)
     assert abs(traj.cost - field.vertex_reconstruction) <= fine_grid.h
-    assert not simulate(problem, NetworkPoint(1, 0.0), field, horizon=25.0, dt=0.01).left_domain
+    assert not simulate(problem, NetworkPoint(1, 0.0), field, horizon=25.0).left_domain
 
 
 def test_simulate_evaluates_each_control_once_per_step(
@@ -559,7 +559,7 @@ def test_simulate_evaluates_each_control_once_per_step(
     def count(problem, x0, field, steps, samples=None):
         calls.clear()
         kernel_calls.clear()
-        traj = simulate(problem, x0, field, horizon=steps * 0.01, dt=0.01)
+        traj = simulate(problem, x0, field, horizon=steps * 0.01)
         assert len(traj.times) == (steps + 1 if samples is None else samples)
         return len(calls), len(kernel_calls)
 
@@ -575,7 +575,7 @@ def test_simulate_evaluates_each_control_once_per_step(
 
     # entry-basic from the vertex on edge 1 switches into edge 2 at f = 1.
     field, _ = benchmark_solution
-    traj = simulate(benchmark_problem, NetworkPoint(1, 0.0), field, horizon=0.01, dt=0.01)
+    traj = simulate(benchmark_problem, NetworkPoint(1, 0.0), field, horizon=0.01)
     assert traj.edges[-1] == 2 and traj.positions[-1] > 0
     assert count(benchmark_problem, NetworkPoint(1, 0.0), field, 1) == (2 * 3 * 2, 0)
 
@@ -710,7 +710,7 @@ def test_simulate_realizes_the_field_value(fine_grid, seed, edge, s):
     h = fine_grid.h
     problem = make_random_problem(np.random.default_rng(seed))
     field, _ = jh.solve(problem, fine_grid)
-    traj = simulate(problem, NetworkPoint(edge, s), field, horizon=25.0, dt=h)
+    traj = simulate(problem, NetworkPoint(edge, s), field, horizon=25.0)
     if s == 0.0:
         value = field.vertex_reconstruction
     else:
@@ -719,7 +719,7 @@ def test_simulate_realizes_the_field_value(fine_grid, seed, edge, s):
 
     mirror = _exit_mirror(problem)
     field, _ = jh.solve(mirror, fine_grid)
-    traj = simulate(mirror, NetworkPoint(edge, 0.0), field, horizon=25.0, dt=h)
+    traj = simulate(mirror, NetworkPoint(edge, 0.0), field, horizon=25.0)
     assert traj.cost + traj.tail_bound >= field.vertex_reconstruction - h
 
 
@@ -731,7 +731,7 @@ def test_simulate_realizes_v_o_on_the_acceptance_exit_mirrors(fine_grid):
     for _ in range(20):
         mirror = _exit_mirror(make_random_problem(rng))
         field, _ = jh.solve(mirror, fine_grid)
-        traj = simulate(mirror, NetworkPoint(1, 0.0), field, horizon=25.0, dt=fine_grid.h)
+        traj = simulate(mirror, NetworkPoint(1, 0.0), field, horizon=25.0)
         assert abs(traj.cost + traj.tail_bound - field.vertex_reconstruction) <= fine_grid.h
 
 
@@ -741,7 +741,7 @@ def test_simulate_vertex_gap_halves_with_h(benchmark_problem):
     gaps = []
     for h in (0.01, 0.005):
         field, _ = jh.solve(benchmark_problem, GridParams(h=h, l_max=4.0, dt=h))
-        traj = simulate(benchmark_problem, NetworkPoint(1, 0.0), field, horizon=25.0, dt=h)
+        traj = simulate(benchmark_problem, NetworkPoint(1, 0.0), field, horizon=25.0)
         gaps.append(traj.cost + traj.tail_bound - field.vertex_reconstruction)
     assert 0.4 * abs(gaps[0]) <= abs(gaps[1]) <= 0.6 * abs(gaps[0])
 
@@ -829,7 +829,7 @@ def test_value_dominance(benchmark_problem, fine_grid, benchmark_solution):
 
 def test_trajectory_exports(benchmark_problem, benchmark_solution):
     field, _ = benchmark_solution
-    traj = simulate(benchmark_problem, NetworkPoint(1, 0.3), field, horizon=5.0, dt=0.01)
+    traj = simulate(benchmark_problem, NetworkPoint(1, 0.3), field, horizon=5.0)
     text = trajectory_to_csv(traj)
     assert text.splitlines()[0] == "t,edge,s,accumulated_cost"
     assert len(text.splitlines()) == len(traj.times) + 1
@@ -1031,7 +1031,7 @@ def test_simulate_takes_a_least_bellman_value_control_at_interior_steps(fine_gri
             field, _ = jh.solve(problem, fine_grid)
             for edge in problem.junction.edge_labels:
                 for s0 in (0.3, 1.2, 2.6, 3.95):
-                    traj = simulate(problem, NetworkPoint(edge, s0), field, horizon, dt)
+                    traj = simulate(problem, NetworkPoint(edge, s0), field, horizon)
                     for k, (e, a) in enumerate(_controls_per_step(traj, horizon, dt)):
                         s = float(traj.positions[k])
                         if s <= fine_grid.h / 2:
@@ -1050,6 +1050,35 @@ def test_simulate_takes_a_least_bellman_value_control_at_interior_steps(fine_gri
                         assert value(a) <= min(value(b) for b in spec.controls) + 1e-12
                         checked += 1
     assert checked > 10000
+
+
+def test_rollout_takes_the_scheme_s_greedy_control_at_the_nodes(fine_grid):
+    # The solver's candidates and simulate's look-ahead price a step by one
+    # rule, hamiltonian.time_step, so a one-step rollout from node k >= 1
+    # takes the control of the scheme's greedy policy there.  Nodes whose
+    # two best candidates lie within 1e-12 are skipped: there the order of
+    # rounding, not the rule, picks the control.
+    h = fine_grid.h
+    rng = np.random.default_rng(20260810)
+    randoms = [make_random_problem(rng) for _ in range(4)]
+    problems = [jh.builtin_problem(name) for name in ("entry-basic", "exit-hold")]
+    checked = skipped = 0
+    for problem in problems + randoms + [_exit_mirror(p) for p in randoms]:
+        field, _ = jh.solve(problem, fine_grid)
+        system = build_system(problem, fine_grid)
+        interior, _ = _candidates(field, system)
+        greedy = policy(field, system).controls
+        for e, spec in enumerate(problem.edges):
+            for k in range(1, fine_grid.n_intervals + 1, 13):
+                first, second = np.sort(interior[e, k])[:2]
+                if second - first <= 1e-12:
+                    skipped += 1
+                    continue
+                x0 = NetworkPoint(e + 1, float(fine_grid.nodes[k]))
+                traj = simulate(problem, x0, field, horizon=h)
+                assert traj.schedule[0].control == spec.controls[greedy[e, k]], (problem, x0)
+                checked += 1
+    assert checked >= 800 and skipped <= checked // 20
 
 
 def test_rollout_and_replay_take_the_same_step(benchmark_problem, fine_grid):
@@ -1112,10 +1141,10 @@ def test_trajectory_csv_keeps_its_format(fine_grid):
     # written from Python floats is byte for byte the numpy-scalar one.
     problem = make_random_problem(np.random.default_rng(20260810))
     field, _ = jh.solve(problem, fine_grid)
-    parked = simulate(problem, NetworkPoint(1, 0.5), field, horizon=25.0, dt=0.01)
+    parked = simulate(problem, NetworkPoint(1, 0.5), field, horizon=25.0)
     mirror = _exit_mirror(problem)
     field, _ = jh.solve(mirror, fine_grid)
-    clamped = simulate(mirror, NetworkPoint(1, 0.5), field, horizon=25.0, dt=0.01)
+    clamped = simulate(mirror, NetworkPoint(1, 0.5), field, horizon=25.0)
     assert clamped.left_domain and not parked.left_domain
     assert parked.schedule[-1].partner is not None and len(parked.times) < 2500
     for traj in (clamped, parked):

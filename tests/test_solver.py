@@ -549,7 +549,7 @@ def test_value_field_refuses_values_off_its_grid():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(10, 60),
+    n=st.integers(16, 60),
     h=st.floats(0.005, 0.1),
     dt_ratio=st.floats(0.25, 1.0),
     changed=st.sampled_from(["h", "dt"]),
@@ -559,8 +559,11 @@ def test_value_field_refuses_values_off_its_grid():
 def test_a_field_on_another_grid_of_as_many_nodes_is_refused(
     benchmark_problem, n, h, dt_ratio, changed, factor
 ):
-    # Both grids are admissible for entry-basic (dt * sup <= 2h <= l_max/4),
-    # so only the fit check can refuse the field.  Without it, the example's
+    # Both grids are admissible for entry-basic, so only the fit check can
+    # refuse the field.  Its sup is 2, since it bounds |ell| = |1 - a| as
+    # well as |f|, so dt * sup <= l_max/4 needs n >= 16 on either grid:
+    # doubling dt gives dt * sup <= 4h against l_max/4 = n*h/4, halving h
+    # gives 2h against n*h/8.  Without the check, the example's
     # field, solved at h = dt = 0.01, has residual 0.00507 read at dt = 0.02,
     # a number of neither grid.
     grid = GridParams(h=h, l_max=n * h, dt=dt_ratio * h)
